@@ -3,6 +3,8 @@
 #define TRENV_BENCH_BENCH_UTIL_H_
 
 #include <cstdlib>
+#include <ctime>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -288,6 +290,39 @@ inline std::string HostJson(unsigned jobs) {
   return "{\"jobs\":" + std::to_string(jobs) +
          ",\"cores\":" + std::to_string(std::thread::hardware_concurrency()) +
          ",\"compiler\":\"" + CompilerVersionString() + "\"}";
+}
+
+inline std::string UtcNow() {
+  char buf[32];
+  const std::time_t t = std::time(nullptr);
+  std::tm tm_utc{};
+  gmtime_r(&t, &tm_utc);
+  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
+  return buf;
+}
+
+// Appends one JSON-lines record to `path`:
+//   {"utc":...,"label":...,"host":HostJson(jobs),"benchmarks":{...}}
+// where `write_entries(out)` streams the comma-separated benchmark entries.
+// Confirms on `log` (stderr for benches whose stdout is a fingerprint) and
+// returns 0, or reports the failure on stderr and returns 1 — the bench's
+// exit status either way.
+template <typename WriteEntries>
+int AppendJsonRecord(const std::string& path, std::string_view label, unsigned jobs,
+                     WriteEntries&& write_entries, std::ostream& log = std::cout) {
+  std::ofstream out(path, std::ios::app);
+  if (out) {
+    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\"" << obs::JsonEscape(label)
+        << "\",\"host\":" << HostJson(jobs) << ",\"benchmarks\":{";
+    write_entries(out);
+    out << "}}\n";
+  }
+  if (!out) {
+    std::cerr << "failed to append record to " << path << "\n";
+    return 1;
+  }
+  log << "appended record to " << path << "\n";
+  return 0;
 }
 
 inline std::vector<std::string> Table4Names() {

@@ -23,8 +23,6 @@
 // so for a fixed --seeds list the report is bitwise-stable across runs and
 // across --jobs values. Wall-clock (utc) appears only in the JSON file.
 #include <cstdlib>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -217,26 +215,6 @@ RdmaResult RunRdmaDegraded(uint64_t seed, bool faulty) {
   return result;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
 // One (seed, mode) sweep slot: the two rack modes plus the two fetch-path
 // runs, all independent simulations.
 struct SeedResults {
@@ -305,14 +283,10 @@ int RunBench(const ChaosFlags& flags) {
   std::cout << "Retries are bounded by the retry policy (capped exponential backoff "
                "+ deadline); corruption is caught by the dedup content hash.\n";
 
-  if (!flags.json_path.empty()) {
-    std::ofstream out(flags.json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << flags.json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\"" << JsonEscape(flags.label)
-        << "\",\"host\":" << bench::HostJson(flags.jobs) << ",\"benchmarks\":{";
+  if (flags.json_path.empty()) {
+    return 0;
+  }
+  return bench::AppendJsonRecord(flags.json_path, flags.label, flags.jobs, [&](std::ostream& out) {
     bool first = true;
     for (size_t i = 0; i < flags.seeds.size(); ++i) {
       for (const bool trenv : {true, false}) {
@@ -335,14 +309,7 @@ int RunBench(const ChaosFlags& flags) {
           << ",\"corrupt\":" << results[i].rdma_faulty.corrupt
           << ",\"e2e_p99_ms\":" << results[i].rdma_faulty.e2e_p99_ms << "}";
     }
-    out << "}}\n";
-    if (!out) {
-      std::cerr << "failed to append record to " << flags.json_path << "\n";
-      return 1;
-    }
-    std::cout << "appended record to " << flags.json_path << "\n";
-  }
-  return 0;
+  });
 }
 
 }  // namespace

@@ -38,11 +38,8 @@
 //   --bench-json=PATH   append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TEXT  label stored in the JSON record
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -159,26 +156,6 @@ RunResult RunCrashDrill() {
   return Collect(cluster, driver, kJobsPerRun);
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
 double ToMiB(uint64_t bytes) { return static_cast<double>(bytes) / static_cast<double>(kMiB); }
 
 struct SweepPoint {
@@ -288,15 +265,11 @@ int RunBench(bench::BenchEnv& env) {
             << " vacant-ownership recoveries from the durable pool copy).\n";
 
   const std::string json_path = env.ExtraValue("--bench-json=");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\""
-        << JsonEscape(env.ExtraValue("--bench-label=")) << "\",\"host\":"
-        << bench::HostJson(env.jobs) << ",\"benchmarks\":{";
+  if (json_path.empty()) {
+    return 0;
+  }
+  const std::string label = env.ExtraValue("--bench-label=");
+  return bench::AppendJsonRecord(json_path, label, env.jobs, [&](std::ostream& out) {
     bool first = true;
     for (size_t i = 0; i < points.size(); ++i) {
       if (points[i].nodes != 4) {
@@ -317,14 +290,7 @@ int RunBench(bench::BenchEnv& env) {
     out << ",\"fig27_stateful_pipeline/crash_drill\":{\"accepted\":" << crash.accepted
         << ",\"completed\":" << crash.stages_completed
         << ",\"recoveries\":" << crash.recoveries << "}";
-    out << "}}\n";
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    std::cout << "appended record to " << json_path << "\n";
-  }
-  return 0;
+  });
 }
 
 }  // namespace

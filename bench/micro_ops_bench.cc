@@ -10,8 +10,6 @@
 // one comparable file. See docs/performance.md.
 #include <benchmark/benchmark.h>
 
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -386,50 +384,6 @@ class CollectingReporter : public benchmark::ConsoleReporter {
   std::vector<Entry> entries_;
 };
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
-// Appends one JSON-lines record: {"utc":...,"label":...,"benchmarks":{name:
-// {"real_ns":...,"cpu_ns":...,"iterations":...}}}.
-bool AppendJsonRecord(const std::string& path, const std::string& label,
-                      const std::vector<CollectingReporter::Entry>& entries) {
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    return false;
-  }
-  out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\"" << JsonEscape(label)
-      << "\",\"host\":" << bench::HostJson(std::thread::hardware_concurrency())
-      << ",\"benchmarks\":{";
-  bool first = true;
-  for (const auto& entry : entries) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "\"" << JsonEscape(entry.name) << "\":{\"real_ns\":" << entry.real_ns
-        << ",\"cpu_ns\":" << entry.cpu_ns << ",\"iterations\":" << entry.iterations << "}";
-  }
-  out << "}}\n";
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 }  // namespace trenv
 
@@ -458,13 +412,22 @@ int main(int argc, char** argv) {
   trenv::CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (!json_path.empty() && !reporter.entries().empty()) {
-    if (trenv::AppendJsonRecord(json_path, label, reporter.entries())) {
-      std::cout << "appended record to " << json_path << "\n";
-    } else {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
+  if (json_path.empty() || reporter.entries().empty()) {
+    return 0;
   }
-  return 0;
+  // One record: {"utc":...,"label":...,"host":...,"benchmarks":{name:
+  // {"real_ns":...,"cpu_ns":...,"iterations":...}}}.
+  return trenv::bench::AppendJsonRecord(
+      json_path, label, std::thread::hardware_concurrency(), [&](std::ostream& out) {
+        bool first = true;
+        for (const auto& entry : reporter.entries()) {
+          if (!first) {
+            out << ",";
+          }
+          first = false;
+          out << "\"" << trenv::obs::JsonEscape(entry.name) << "\":{\"real_ns\":" << entry.real_ns
+              << ",\"cpu_ns\":" << entry.cpu_ns << ",\"iterations\":" << entry.iterations
+              << "}";
+        }
+      });
 }

@@ -37,11 +37,8 @@
 //   --bench-json=PATH append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TXT label stored in the JSON record
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -187,26 +184,6 @@ RunResult RunSystem(const SystemSpec& spec, const Scale& scale,
   return r;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
 int RunBench(bench::BenchEnv& env, const Scale& scale) {
   PrintBanner(std::cout, "Peak warm-environment density @ attach-latency SLO");
   std::cout << "catalog " << scale.functions << " functions, diurnal "
@@ -295,26 +272,20 @@ int RunBench(bench::BenchEnv& env, const Scale& scale) {
   }
 
   const std::string json_path = env.ExtraValue("--bench-json=");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\""
-        << JsonEscape(env.ExtraValue("--bench-label=")) << "\",\"host\":"
-        << bench::HostJson(env.jobs) << ",\"benchmarks\":{"
-        << "\"peak_density/warm_envs\":{\"value\":" << density.peak_warm_envs
+  if (json_path.empty()) {
+    return 0;
+  }
+  const std::string label = env.ExtraValue("--bench-label=");
+  return bench::AppendJsonRecord(json_path, label, env.jobs, [&](std::ostream& out) {
+    out << "\"peak_density/warm_envs\":{\"value\":" << density.peak_warm_envs
         << ",\"direction\":\"higher_is_better\"},"
         << "\"peak_density/warm_envs_baseline\":{\"value\":" << baseline
         << ",\"direction\":\"higher_is_better\"},"
         << "\"peak_density/attach_p99\":{\"real_ns\":"
         << static_cast<uint64_t>(density.attach_p99_ms * 1e6)
         << ",\"promotions\":" << density.promotions
-        << ",\"demotions\":" << density.demotions << "}}}\n";
-    std::cout << "bench record appended to " << json_path << "\n";
-  }
-  return 0;
+        << ",\"demotions\":" << density.demotions << "}";
+  });
 }
 
 }  // namespace

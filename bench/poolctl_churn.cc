@@ -7,8 +7,8 @@
 // back), and two RDMA flap storms that eat heartbeats — the
 // flapping-membership schedule that manufactures false suspicions.
 //
-// Each fleet size runs twice: `static` keeps the legacy single-shot wiring
-// (instant crash knowledge, one delayed rebalance sweep per change) and
+// Each fleet size runs twice: `static` keeps static membership (instant
+// crash knowledge, one delayed unbudgeted reconcile pass per change) and
 // `continuous` runs the poolctl control plane (gossip membership with
 // phi-accrual suspicion, budgeted continuous rebalancing, NIC admission
 // shedding, hot-shard mitigation).
@@ -34,11 +34,8 @@
 //   --bench-json=PATH   append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TEXT  label stored in the JSON record
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -223,26 +220,6 @@ HotResult RunHotShard(bool mitigation) {
   return r;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
 int RunBench(bench::BenchEnv& env) {
   const uint32_t shards =
       static_cast<uint32_t>(std::atoi(env.ExtraValue("--shards=", "1").c_str()));
@@ -343,15 +320,11 @@ int RunBench(bench::BenchEnv& env) {
   }
 
   const std::string json_path = env.ExtraValue("--bench-json=");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\""
-        << JsonEscape(env.ExtraValue("--bench-label=")) << "\",\"host\":"
-        << bench::HostJson(env.jobs) << ",\"benchmarks\":{";
+  if (json_path.empty()) {
+    return 0;
+  }
+  const std::string label = env.ExtraValue("--bench-label=");
+  return bench::AppendJsonRecord(json_path, label, env.jobs, [&](std::ostream& out) {
     for (size_t i = 0; i < points.size(); ++i) {
       const ChurnResult& r = sweep[i];
       out << "\"poolctl_churn/n" << points[i].pool_nodes << "_"
@@ -364,14 +337,8 @@ int RunBench(bench::BenchEnv& env) {
     }
     out << "\"poolctl_churn/hot_shard\":{\"peak_static\":" << flat.peak_pages
         << ",\"peak_mitigated\":" << mitigated.peak_pages << ",\"ratio\":"
-        << Table::Num(ratio, 3) << "}}}\n";
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    std::cout << "appended record to " << json_path << "\n";
-  }
-  return 0;
+        << Table::Num(ratio, 3) << "}";
+  });
 }
 
 }  // namespace

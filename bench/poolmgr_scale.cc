@@ -23,8 +23,8 @@
 // replication 1 the lost shards' leases are revoked and reseeded from the
 // dedup store, visible as revocations + reseeds + extra refetched pages.
 // The continuous row swaps instant crash knowledge for gossip detection
-// (phi-accrual suspicion then declaration) and the single-shot rebalancer
-// for the budgeted continuous loop; it must still lose nothing, declare and
+// (phi-accrual suspicion then declaration) and the one unbudgeted reconcile
+// pass for the budgeted continuous loop; it must still lose nothing, declare and
 // rejoin the node, and end fully replicated.
 //
 // Flags:
@@ -32,11 +32,8 @@
 //   --bench-json=PATH   append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TEXT  label stored in the JSON record
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -130,8 +127,8 @@ RunResult RunScale(uint32_t nodes, uint32_t replication, Dispatch dispatch, uint
 
 // One pool node dies mid-run and returns 30 s later. The workload and the
 // rack are identical to the replication-2 sweep row; `replication` decides
-// whether leases survive the crash, and `continuous` swaps the single-shot
-// rebalancer + instant crash knowledge for the poolctl control plane (gossip
+// whether leases survive the crash, and `continuous` swaps the unbudgeted
+// reconcile pass + instant crash knowledge for the poolctl control plane (gossip
 // membership must *detect* the death before the budgeted rebalancer may
 // react to it).
 RunResult RunChaos(uint32_t replication, bool continuous, uint32_t shards) {
@@ -158,26 +155,6 @@ RunResult RunChaos(uint32_t replication, bool continuous, uint32_t shards) {
     return {};
   }
   return Collect(cluster);
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
 }
 
 struct SweepPoint {
@@ -323,15 +300,11 @@ int RunBench(bench::BenchEnv& env) {
                "revocations + reseeds.\n";
 
   const std::string json_path = env.ExtraValue("--bench-json=");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\""
-        << JsonEscape(env.ExtraValue("--bench-label=")) << "\",\"host\":"
-        << bench::HostJson(env.jobs) << ",\"benchmarks\":{";
+  if (json_path.empty()) {
+    return 0;
+  }
+  const std::string label = env.ExtraValue("--bench-label=");
+  return bench::AppendJsonRecord(json_path, label, env.jobs, [&](std::ostream& out) {
     bool first = true;
     for (size_t i = 0; i < points.size(); ++i) {
       if (points[i].nodes != 4) {
@@ -363,14 +336,7 @@ int RunBench(bench::BenchEnv& env) {
       }
       out << "}";
     }
-    out << "}}\n";
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    std::cout << "appended record to " << json_path << "\n";
-  }
-  return 0;
+  });
 }
 
 }  // namespace

@@ -31,13 +31,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,26 +47,6 @@ namespace {
 
 constexpr uint64_t kSeed = 42;
 constexpr double kRatePerSec = 400.0;
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
 
 std::vector<uint32_t> ParseCsv(const std::string& csv) {
   std::vector<uint32_t> out;
@@ -249,15 +226,11 @@ int RunBench(bench::BenchEnv& env) {
   }
 
   const std::string json_path = env.ExtraValue("--bench-json=");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\""
-        << JsonEscape(env.ExtraValue("--bench-label=")) << "\",\"host\":"
-        << bench::HostJson(env.jobs) << ",\"benchmarks\":{";
+  if (json_path.empty()) {
+    return 0;
+  }
+  const std::string label = env.ExtraValue("--bench-label=");
+  const auto write_entries = [&](std::ostream& out) {
     for (size_t i = 0; i < runs.size(); ++i) {
       if (i != 0) {
         out << ",";
@@ -269,14 +242,9 @@ int RunBench(bench::BenchEnv& env) {
     }
     out << ",\"sharded_scale/best_speedup\":{\"value\":" << std::setprecision(4)
         << best_speedup << ",\"direction\":\"higher_is_better\"}";
-    out << "}}\n";
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    std::cerr << "appended record to " << json_path << "\n";
-  }
-  return 0;
+  };
+  // stdout is the run fingerprint, so the confirmation goes to stderr.
+  return bench::AppendJsonRecord(json_path, label, env.jobs, write_entries, std::cerr);
 }
 
 }  // namespace

@@ -280,6 +280,10 @@ void Cluster::AdvanceAllTo(SimTime t) {
     FocusNode(i);
     nodes_[i]->platform->scheduler().RunUntil(t);
   }
+  AdvanceControlClocksTo(t);
+}
+
+void Cluster::AdvanceControlClocksTo(SimTime t) {
   if (pool_mgr_ != nullptr) {
     // The control plane's clock (lease expiries, rebalances) moves in
     // lock-step with the worker nodes.
@@ -289,6 +293,25 @@ void Cluster::AdvanceAllTo(SimTime t) {
     // Invalidation shootdowns and reader-lease expiries follow the same
     // lock-step timeline.
     shstate_->clock().RunUntil(t);
+  }
+}
+
+void Cluster::DrainControlClocks() {
+  if (pool_ctl_ != nullptr) {
+    // Cancel the periodic ticks (heartbeats, rebalancing) so the drain
+    // below terminates; lease expiries still lapse on their own. No final
+    // converge: replication at trace end is whatever the continuous loop
+    // actually restored.
+    pool_ctl_->Quiesce();
+  }
+  if (pool_mgr_ != nullptr) {
+    // Let outstanding lease-expiry and rebalance events lapse; every grant
+    // schedules exactly one expiry, so this drains.
+    pool_mgr_->clock().RunUntilIdle();
+  }
+  if (shstate_ != nullptr) {
+    // Same for invalidation shootdowns and reader-lease expiries.
+    shstate_->clock().RunUntilIdle();
   }
 }
 
@@ -479,7 +502,7 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   // One epoch: each shard first applies its mailbox (in global push order,
   // before any drain, so scheduler sequence numbers match an immediate
   // submit), then drains its nodes in index order up to the target. The
-  // control plane's clock follows on the coordinator thread. Lambdas are
+  // control-plane clocks follow on the coordinator thread. Lambdas are
   // built once; `target` is rebound per epoch.
   SimTime target;
   const std::function<void(size_t)> advance_shard = [&](size_t s) {
@@ -535,9 +558,7 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
     sink.statuses.resize(sink.cmds.size());
     coordinator.RunEpoch(advance_shard);
     TRENV_RETURN_IF_ERROR(settle_mailbox());
-    if (pool_mgr_ != nullptr) {
-      pool_mgr_->clock().RunUntil(t);
-    }
+    AdvanceControlClocksTo(t);
     if (windowed) {
       // A sync point refreshes the real load state; the window's provisional
       // placement counts are now visible as concurrent startups.
@@ -584,15 +605,7 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   sink.statuses.resize(sink.cmds.size());
   coordinator.RunEpoch(finish_shard);
   TRENV_RETURN_IF_ERROR(settle_mailbox());
-  if (pool_ctl_ != nullptr) {
-    // Stop the periodic heartbeat/rebalance ticks or the pool clock never
-    // drains. No final converge: replication at trace end is whatever the
-    // continuous loop actually restored.
-    pool_ctl_->Quiesce();
-  }
-  if (pool_mgr_ != nullptr) {
-    pool_mgr_->clock().RunUntilIdle();
-  }
+  DrainControlClocks();
   sharded_epochs_ = coordinator.epochs();
   sharded_barrier_wait_ = coordinator.barrier_wait_seconds();
   return Status::Ok();
@@ -603,20 +616,7 @@ void Cluster::RunAllToCompletion() {
     FocusNode(i);
     nodes_[i]->platform->RunToCompletion();
   }
-  if (pool_ctl_ != nullptr) {
-    // Cancel the periodic ticks (heartbeats, rebalancing) so the drain
-    // below terminates; lease expiries still lapse on their own.
-    pool_ctl_->Quiesce();
-  }
-  if (pool_mgr_ != nullptr) {
-    // Let outstanding lease-expiry and rebalance events lapse; every grant
-    // schedules exactly one expiry, so this drains.
-    pool_mgr_->clock().RunUntilIdle();
-  }
-  if (shstate_ != nullptr) {
-    // Same for invalidation shootdowns and reader-lease expiries.
-    shstate_->clock().RunUntilIdle();
-  }
+  DrainControlClocks();
 }
 
 std::optional<SimTime> Cluster::NextEventTime() {

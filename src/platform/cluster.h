@@ -73,8 +73,9 @@ struct ClusterConfig {
   PoolManagerConfig poolmgr;
   // Continuous pool control plane (gossip membership, budgeted rebalancing,
   // admission control, hot-shard replication) layered over poolmgr; requires
-  // poolmgr.enabled. Disabled by default: the legacy single-shot crash
-  // wiring stays active and every existing run is byte-identical.
+  // poolmgr.enabled. Disabled by default: pool membership is static (one
+  // unbudgeted reconcile pass `rebalance_delay` after each pool-node crash
+  // or restart), and every existing run is byte-identical.
   PoolCtlConfig poolctl;
   // Shared-state data plane (writable regions + ownership transfer over the
   // pool). Disabled by default: no RegionManager is built and every existing
@@ -126,9 +127,9 @@ class Cluster {
   // lookahead zero it is byte-identical to Run() on the collected schedule.
   //
   // Preconditions for cross-thread sharding: no fault injector, no tracer,
-  // no prewarm policy, density off. When any of those is configured the run
-  // degrades to one shard (same epoch algorithm, same output at any
-  // requested shard count) — see docs/simulation_model.md.
+  // no prewarm policy, density off, shstate off. When any of those is
+  // configured the run degrades to one shard (same epoch algorithm, same
+  // output at any requested shard count) — see docs/simulation_model.md.
   [[nodiscard]] Status RunSharded(ArrivalStream& arrivals,
                                   const ShardedRunOptions& options = {});
 
@@ -246,6 +247,11 @@ class Cluster {
   void FocusNode(size_t i);
   // Runs every node's scheduler up to t in lock-step.
   void AdvanceAllTo(SimTime t);
+  // The control-plane clocks (poolmgr, shstate) in lock-step with the nodes:
+  // advanced to t after every node, and drained after the nodes finish.
+  // Shared by the sequential and sharded run loops.
+  void AdvanceControlClocksTo(SimTime t);
+  void DrainControlClocks();
   void ApplyNodeEvent(const FaultInjector::NodeEvent& event);
   void CrashNode(size_t i, SimTime when);
   void RestartNode(size_t i, SimTime when);

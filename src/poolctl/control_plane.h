@@ -1,9 +1,11 @@
 // PoolControlPlane: the continuous control loop over the poolmgr store.
 //
-// The legacy poolmgr wiring is single-shot: a crash instantly rewires the
-// ring and schedules one delayed rebalance sweep that moves everything at
-// once. This module replaces that with a running control plane on the pool
-// clock (docs/control_plane.md):
+// Static membership (this module off) rewires the ring the instant a pool
+// node crashes or restarts and repairs placement with one unbudgeted
+// reconcile pass `rebalance_delay` after the change. This module replaces
+// that with a running control plane on the pool clock, ticking the same
+// PoolManager::ReconcileShard primitive under a budget
+// (docs/control_plane.md):
 //
 //   * Membership — a GossipMembership detector observes heartbeats and
 //     declares deaths/rejoins; ring surgery (DeclareDead/DeclareJoined)
@@ -46,8 +48,10 @@
 namespace trenv {
 
 struct PoolCtlConfig {
-  // false builds no control plane: the cluster keeps the legacy single-shot
-  // crash wiring and stays bit-identical to before this subsystem existed.
+  // false builds no control plane: static membership, where a pool-node
+  // crash or restart is one unbudgeted reconcile pass `rebalance_delay`
+  // after the change; the cluster stays bit-identical to before this
+  // subsystem existed.
   bool enabled = false;
   MembershipConfig membership;
   // Continuous rebalancer cadence and its per-tick fabric budget (pages of

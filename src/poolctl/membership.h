@@ -1,7 +1,7 @@
 // GossipMembership: a deterministic gossip-style failure detector for the
 // memory-pool fleet.
 //
-// The poolmgr's legacy wiring learns about pool-node deaths instantly and
+// The poolmgr's static wiring learns about pool-node deaths instantly and
 // perfectly — the fault plan calls OnPoolNodeCrash the moment the node dies.
 // Production control planes have neither luxury: they observe heartbeats,
 // accrue suspicion, and sometimes declare a live node dead because the

@@ -117,7 +117,7 @@ PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, 
     return outcome;
   }
   // Lease miss: pull every shard through this worker's NIC — from its
-  // primary (legacy) or a hashed live replica (continuous spread reads).
+  // primary (static) or a hashed live replica (continuous spread reads).
   ++lease_misses_;
   Count(lease_misses_counter_);
   std::vector<FetchRequest> requests;
@@ -130,7 +130,7 @@ PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, 
       if (continuous_) {
         nas_pages += shard.npages;  // whole pool gone: NAS serves, slower
       }
-      continue;  // legacy fails open — the dedup store still serves
+      continue;  // static fails open — the dedup store still serves
     }
     ++shard.fetches;
     uint32_t source = shard.replicas.front();
@@ -249,15 +249,38 @@ void PoolManager::OnPoolNodeCrash(uint32_t pool_node, SimTime when) {
   if (pool_node >= alive_.size() || !alive_[pool_node]) {
     return;
   }
-  alive_[pool_node] = false;
-  RemoveFromPlacement(pool_node);
+  OnPoolNodeDown(pool_node);
+  DeclareDead(pool_node, when);
   ScheduleRebalance(when + config_.rebalance_delay);
 }
 
-void PoolManager::RemoveFromPlacement(uint32_t pool_node) {
-  if (ring_.Contains(pool_node)) {
-    ring_.RemoveNode(pool_node);
+void PoolManager::OnPoolNodeRestart(uint32_t pool_node, SimTime when) {
+  if (pool_node >= alive_.size() || alive_[pool_node]) {
+    return;
   }
+  OnPoolNodeUp(pool_node);
+  DeclareJoined(pool_node, when);
+  ScheduleRebalance(when + config_.rebalance_delay);
+}
+
+void PoolManager::OnPoolNodeDown(uint32_t pool_node) {
+  if (pool_node < alive_.size()) {
+    alive_[pool_node] = false;
+  }
+}
+
+void PoolManager::OnPoolNodeUp(uint32_t pool_node) {
+  if (pool_node < alive_.size()) {
+    alive_[pool_node] = true;
+  }
+}
+
+void PoolManager::DeclareDead(uint32_t pool_node, SimTime when) {
+  (void)when;
+  if (pool_node >= alive_.size() || !ring_.Contains(pool_node)) {
+    return;  // already declared (or never known) — idempotent
+  }
+  ring_.RemoveNode(pool_node);
   // Walk shards in index order (deterministic). Losing a replica is silent;
   // losing a *primary* promotes a survivor; losing the last replica revokes
   // every lease whose template includes the shard.
@@ -303,48 +326,19 @@ void PoolManager::RemoveFromPlacement(uint32_t pool_node) {
   }
 }
 
-void PoolManager::OnPoolNodeRestart(uint32_t pool_node, SimTime when) {
-  if (pool_node >= alive_.size() || alive_[pool_node]) {
-    return;
-  }
-  alive_[pool_node] = true;
-  ring_.AddNode(pool_node);
-  ScheduleRebalance(when + config_.rebalance_delay);
-}
-
-void PoolManager::OnPoolNodeDown(uint32_t pool_node) {
-  if (pool_node < alive_.size()) {
-    alive_[pool_node] = false;
-  }
-}
-
-void PoolManager::OnPoolNodeUp(uint32_t pool_node) {
-  if (pool_node < alive_.size()) {
-    alive_[pool_node] = true;
-  }
-}
-
-void PoolManager::DeclareDead(uint32_t pool_node, SimTime when) {
-  (void)when;
-  if (pool_node >= alive_.size() || !ring_.Contains(pool_node)) {
-    return;  // already declared (or never known) — idempotent
-  }
-  RemoveFromPlacement(pool_node);
-}
-
 void PoolManager::DeclareJoined(uint32_t pool_node, SimTime when) {
   (void)when;
   if (pool_node >= alive_.size() || ring_.Contains(pool_node)) {
     return;  // already a member — idempotent
   }
   // Its copies were dropped from the metadata at DeclareDead, so the node
-  // rejoins empty; the continuous rebalancer re-copies shards under budget.
+  // rejoins empty; the next reconcile pass re-copies shards onto it.
   ring_.AddNode(pool_node);
 }
 
 void PoolManager::ScheduleRebalance(SimTime when) {
   if (rebalance_pending_) {
-    return;  // one sweep covers every membership change before it fires
+    return;  // one pass covers every membership change before it fires
   }
   rebalance_pending_ = true;
   clock_.ScheduleAt(std::max(when, clock_.now()), [this] {
@@ -353,67 +347,10 @@ void PoolManager::ScheduleRebalance(SimTime when) {
   });
 }
 
-bool PoolManager::SameOwnerSet(const std::vector<uint32_t>& replicas,
-                               const std::vector<uint32_t>& desired) {
-  if (replicas.size() != desired.size()) {
-    return false;
-  }
-  for (const uint32_t node : desired) {
-    if (std::find(replicas.begin(), replicas.end(), node) == replicas.end()) {
-      return false;
-    }
-  }
-  return true;  // same size, no duplicates in either — equal as sets
-}
-
 void PoolManager::RunRebalance(SimTime now) {
   (void)now;
-  if (ring_.node_count() == 0) {
-    return;  // nothing alive to move to; retried after the next restart
-  }
-  std::vector<uint32_t> desired;
   for (uint32_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    ring_.OwnersFor(shard.fingerprint, config_.replication, &desired);
-    // Converged means same owner *set*: after a rejoin the preserved
-    // promoted primary leaves `replicas` as a rotation of `desired`, and an
-    // exact-order compare would re-enter the move/rotate body on every
-    // later sweep for any unrelated membership change. Skipping on set
-    // equality makes repeat invocations — second crash epochs, rejoins,
-    // back-to-back sweeps — true no-ops.
-    if (SameOwnerSet(shard.replicas, desired)) {
-      continue;
-    }
-    const bool was_lost = shard.replicas.empty();
-    // Count one move per node that newly receives the shard (background
-    // copy traffic, off the attach critical path).
-    uint64_t additions = 0;
-    for (const uint32_t node : desired) {
-      if (std::find(shard.replicas.begin(), shard.replicas.end(), node) ==
-          shard.replicas.end()) {
-        ++additions;
-      }
-    }
-    if (additions > 0) {
-      rebalance_moves_ += additions;
-      rebalanced_pages_ += additions * shard.npages;
-      Count(rebalance_counter_, static_cast<double>(additions));
-    }
-    if (was_lost) {
-      ++reseeded_shards_;
-      Count(reseed_counter_);
-    }
-    // Keep a surviving primary in place when the ring still lists it —
-    // promotion already redirected readers there; demoting it back would
-    // churn leases for no benefit.
-    const uint32_t old_primary = was_lost ? 0 : shard.replicas.front();
-    shard.replicas = desired;
-    if (!was_lost) {
-      const auto it = std::find(shard.replicas.begin(), shard.replicas.end(), old_primary);
-      if (it != shard.replicas.end() && it != shard.replicas.begin()) {
-        std::rotate(shard.replicas.begin(), it, it + 1);
-      }
-    }
+    (void)ReconcileShard(s, config_.replication, UINT64_MAX);
   }
 }
 

@@ -18,9 +18,11 @@
 //     revokes nothing when replication >= 2: a surviving replica is promoted
 //     to primary and leases stay valid. With replication 1 the lost shards'
 //     leases are revoked and the shard is reseeded from the dedup store (the
-//     durable content source) on next use. A delayed rebalance restores the
-//     replication factor and, after restarts, moves shards back to their
-//     ring positions.
+//     durable content source) on next use.
+//   * Placement repair — one algorithm, ReconcileShard, moves a shard toward
+//     its ring owners (copies first, then drops). Static membership runs it
+//     over every shard, unbudgeted, `rebalance_delay` after a change; the
+//     continuous control plane (src/poolctl) ticks it under a page budget.
 //   * Per-NIC fetch path — shard transfers go through each worker's
 //     NicFetchQueue (batching, coalescing, incast-aware queueing) on top of
 //     the fabric backend's load-dependent latency and fault injection.
@@ -56,8 +58,8 @@ struct PoolManagerConfig {
   // How long one attach grant keeps a worker's lease alive; each grant is
   // one refcount for one TTL window.
   SimDuration lease_ttl = SimDuration::Seconds(60);
-  // Settle time between a membership change and the rebalance that restores
-  // replication / ring placement.
+  // Static membership: settle time between a membership change and the
+  // unbudgeted reconcile pass that restores replication / ring placement.
   SimDuration rebalance_delay = SimDuration::Seconds(5);
   // NIC fan-in penalty per concurrent source beyond the first.
   double incast_penalty = 0.04;
@@ -67,9 +69,8 @@ struct PoolManagerConfig {
 };
 
 // Read / admission policy installed by the poolctl continuous control plane
-// (src/poolctl). Only active after EnableContinuousControl; the legacy
-// single-shot path never consults it, so the default cluster stays
-// bit-identical.
+// (src/poolctl). Only active after EnableContinuousControl; static
+// membership never consults it, so the default cluster stays bit-identical.
 struct ContinuousPoolPolicy {
   // Spread lease-miss reads across a shard's whole replica set (hashed by
   // fingerprint and worker) instead of always hitting the primary.
@@ -119,10 +120,11 @@ class PoolManager {
   // Drops every lease a crashed worker held (nothing orderly to tear down).
   void ReleaseWorker(uint32_t worker);
 
-  // Pool-node failure wiring (driven by the Cluster's fault plan). The
-  // legacy pair couples physical liveness and the membership decision: a
-  // crash immediately removes the node from the ring and a restart re-adds
-  // it, each scheduling a delayed single-shot rebalance.
+  // Static-membership failure wiring (driven by the Cluster's fault plan):
+  // each couples physical liveness and the membership decision —
+  // OnPoolNodeDown + DeclareDead, or OnPoolNodeUp + DeclareJoined — then
+  // schedules RunRebalance `rebalance_delay` later. No-ops when the node is
+  // already down (crash) or up (restart).
   void OnPoolNodeCrash(uint32_t pool_node, SimTime when);
   void OnPoolNodeRestart(uint32_t pool_node, SimTime when);
   bool pool_node_alive(uint32_t pool_node) const {
@@ -131,7 +133,7 @@ class PoolManager {
   uint32_t pool_node_count() const { return static_cast<uint32_t>(alive_.size()); }
 
   // --- continuous control (poolctl) ----------------------------------------
-  // Splits the legacy crash/restart coupling in two: the *data plane* learns
+  // Splits the static crash/restart coupling in two: the *data plane* learns
   // a node stopped answering (reads skip it, paying a dead-read timeout),
   // while the *membership decision* — ring removal, promotion, revocation —
   // waits for the gossip protocol's declaration. Installed once by
@@ -159,16 +161,17 @@ class PoolManager {
   // Moves one shard incrementally toward the ring owners at
   // `target_replication`, copying at most `budget_pages` pages. Additions
   // (restore replication first) precede drops; the serving primary is
-  // preserved when it remains a desired owner. The continuous rebalancer's
-  // per-tick primitive; also reused by the single-shot sweep.
+  // preserved when it remains a desired owner; when it does not, the new
+  // front copy counts as a replica promotion. The continuous rebalancer's
+  // per-tick primitive and the body of RunRebalance.
   ReconcileResult ReconcileShard(uint32_t shard_index, uint32_t target_replication,
                                  uint64_t budget_pages);
 
-  // Immediate rebalance: restore replication for under-replicated shards and
-  // re-align placements with the ring. Normally fires `rebalance_delay`
-  // after a membership change; exposed for tests. Idempotent: a converged
-  // shard (same owner set, primary preserved) is left untouched, so repeat
-  // invocations — including after a node rejoin — change nothing.
+  // Static membership's repair: one unbudgeted ReconcileShard pass over every
+  // shard at base replication. Normally fires `rebalance_delay` after a
+  // membership change; exposed for tests. Idempotent: a converged shard
+  // (same owner set) is left untouched, so repeat invocations — including
+  // after a node rejoin — change nothing.
   void RunRebalance(SimTime now);
 
   // --- accounting -----------------------------------------------------------
@@ -229,16 +232,7 @@ class PoolManager {
 
   void GrantLease(uint32_t worker, FunctionId fid, SimTime now);
   void ScheduleRebalance(SimTime when);
-  // Ring removal + replica erase + promotion + lost-shard lease revocation —
-  // the placement half of a crash, shared by OnPoolNodeCrash (legacy) and
-  // DeclareDead (continuous). Idempotent.
-  void RemoveFromPlacement(uint32_t pool_node);
-  // True when the shard's owner set already equals `desired` (as a set) —
-  // order-insensitive so a preserved promoted primary still counts as
-  // converged (the idempotency fix for repeat rebalances after rejoins).
-  static bool SameOwnerSet(const std::vector<uint32_t>& replicas,
-                           const std::vector<uint32_t>& desired);
-  // Picks the replica a lease miss reads for this shard. Legacy: always the
+  // Picks the replica a lease miss reads for this shard. Static: always the
   // primary. Continuous: spread by (fingerprint, worker) hash, skipping
   // down-but-undeclared nodes (each skip is one timed-out read, counted into
   // `dead_hops`). Returns false when no listed replica answers.

@@ -438,6 +438,39 @@ TEST(PoolManagerTest, RebalanceIsIdempotentAcrossRejoinEpochs) {
   EXPECT_EQ(snapshot(), second);
 }
 
+TEST(PoolManagerTest, StaticSweepIsTheUnbudgetedReconcilePrimitive) {
+  // Static membership's RunRebalance and the continuous rebalancer's
+  // ReconcileShard are one algorithm: after the same r=1 crash / reseed /
+  // restart history, a RunRebalance and an unbudgeted ReconcileShard over
+  // every shard must leave identical placements and counters — including
+  // the promotion counted when the reseeded shard hands back to its home.
+  PoolManagerFixture swept(SmallPoolConfig(1));
+  PoolManagerFixture reconciled(SmallPoolConfig(1));
+  uint32_t home = 0;
+  for (PoolManagerFixture* fx : {&swept, &reconciled}) {
+    fx->mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
+    (void)fx->mgr.Attach(0, 0, SimTime::Zero());
+    home = fx->mgr.ShardReplicas(0).front();
+    fx->mgr.OnPoolNodeCrash(home, SimTime::Zero() + SimDuration::Seconds(1));
+    (void)fx->mgr.Attach(0, 0, SimTime::Zero() + SimDuration::Seconds(2));  // reseed
+    ASSERT_NE(fx->mgr.ShardReplicas(0).front(), home);
+    fx->mgr.OnPoolNodeRestart(home, SimTime::Zero() + SimDuration::Seconds(3));
+  }
+  swept.mgr.RunRebalance(SimTime::Zero() + SimDuration::Seconds(4));
+  for (uint32_t s = 0; s < reconciled.mgr.shard_count(); ++s) {
+    (void)reconciled.mgr.ReconcileShard(s, reconciled.mgr.base_replication(), UINT64_MAX);
+  }
+  EXPECT_EQ(swept.mgr.ShardReplicas(0), std::vector<uint32_t>{home});
+  for (uint32_t s = 0; s < swept.mgr.shard_count(); ++s) {
+    EXPECT_EQ(swept.mgr.ShardReplicas(s), reconciled.mgr.ShardReplicas(s)) << "shard " << s;
+  }
+  EXPECT_EQ(swept.mgr.rebalance_moves(), reconciled.mgr.rebalance_moves());
+  EXPECT_EQ(swept.mgr.rebalanced_pages(), reconciled.mgr.rebalanced_pages());
+  EXPECT_EQ(swept.mgr.reseeded_shards(), reconciled.mgr.reseeded_shards());
+  EXPECT_EQ(swept.mgr.replica_promotions(), reconciled.mgr.replica_promotions());
+  EXPECT_GT(swept.mgr.replica_promotions(), 0u);
+}
+
 TEST(PoolManagerTest, ChurnLeavesNoOrphanedReplicas) {
   PoolManagerFixture fx(SmallPoolConfig(2));
   fx.mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));

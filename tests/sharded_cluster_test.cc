@@ -168,6 +168,40 @@ TEST(ShardedClusterTest, FaultedRunDegradesToOneShardAndMatchesLegacy) {
   }
 }
 
+TEST(ShardedClusterTest, ShStateClockAdvancesAndDrainsLikeRun) {
+  // The shared-state plane's clock (reader-lease expiries, shootdowns) must
+  // follow the sharded epochs and drain at the end exactly as in Run(): a
+  // reader lease lapsing before the only arrival is unmapped, and no event
+  // is left pending.
+  ClusterConfig config;
+  config.nodes = 2;
+  config.shstate.enabled = true;
+  config.shstate.lease_ttl = SimDuration::Seconds(1);
+  const Schedule schedule = {{SimTime::Zero() + SimDuration::Seconds(2), "JS"}};
+  std::vector<std::string> fingerprints;
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "RunSharded" : "Run");
+    Cluster cluster(config);
+    ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+    RegionManager& sh = *cluster.shared_state();
+    auto id_or = sh.CreateRegion("r", 16, /*owner=*/0, SimTime::Zero());
+    ASSERT_TRUE(id_or.ok());
+    const RegionId id = *id_or;
+    ASSERT_TRUE(sh.OpenReader(id, 1, SimTime::Zero()).ok());
+    ASSERT_TRUE(sh.ReaderMapped(id, 1));
+    if (sharded) {
+      ScheduleStream stream(schedule);
+      ASSERT_TRUE(cluster.RunSharded(stream).ok());
+    } else {
+      ASSERT_TRUE(cluster.Run(schedule).ok());
+    }
+    EXPECT_FALSE(sh.ReaderMapped(id, 1));
+    EXPECT_FALSE(cluster.NextEventTime().has_value());
+    fingerprints.push_back(Fingerprint(cluster));
+  }
+  EXPECT_EQ(fingerprints[0], fingerprints[1]);
+}
+
 TEST(ShardedClusterTest, StreamingTraceMatchesMaterializedSchedule) {
   // Feeding the generator stream straight into RunSharded must equal
   // materializing the same seed's schedule and running it — the 10M-trace
