@@ -187,7 +187,8 @@ HotResult RunHotShard(bool mitigation) {
   pool.pool_nodes = kHotPoolNodes;
   pool.replication = 1;
   pool.lease_ttl = SimDuration::Millis(40);  // every 50 ms round is a miss
-  PoolManager mgr(pool, kHotWorkers, &fabric, nullptr);
+  EventScheduler clock;
+  PoolManager mgr(pool, kHotWorkers, &fabric, &clock, nullptr);
   PoolCtlConfig ctl;
   ctl.hot_shard_mitigation = mitigation;
   ctl.hot_promote_score = 16;

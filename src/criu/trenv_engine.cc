@@ -14,8 +14,7 @@ TrEnvEngine::TrEnvEngine(SandboxFactory* factory, SandboxPool* pool, MmtApi* mmt
       pool_(pool),
       mmt_(mmt),
       dedup_(dedup),
-      options_(options),
-      prefetch_nic_(options.prefetch.incast_penalty) {
+      options_(options) {
   if (options_.use_mm_template) {
     name_ = "trenv";
   } else if (options_.clone_into_cgroup) {
@@ -214,13 +213,6 @@ void TrEnvEngine::PrefetchWorkingSet(const FunctionProfile& profile, RestoreOutc
     return;  // nothing recorded yet: the first invocation demand-faults
   }
   const WorkingSetProfile& ws = prepared->ws;
-  const double eager = options_.prefetch.eager_fraction;
-  uint64_t budget =
-      eager >= 1.0 ? ws.TotalPages()
-                   : static_cast<uint64_t>(eager * static_cast<double>(ws.TotalPages()));
-  if (budget == 0) {
-    return;
-  }
 
   // Intersect the recorded runs with the attached page tables: only runs
   // still lazy on a message-model pool (RDMA/NAS) are worth fetching; CXL
@@ -233,22 +225,15 @@ void TrEnvEngine::PrefetchWorkingSet(const FunctionProfile& profile, RestoreOutc
   std::vector<PlannedRun> plan;
   size_t p = 0;
   for (auto& process : outcome.instance->processes()) {
-    if (p >= ws.processes.size() || budget == 0) {
+    if (p >= ws.processes.size()) {
       break;
     }
     MmStruct& mm = process->mm();
     for (const PageRun& rec : ws.processes[p++].runs()) {
-      if (budget == 0) {
-        break;
-      }
       mm.page_table().ForEachRunIn(rec.vpn, rec.npages, [&](Vpn vpn, const PteRun& run) {
-        if (budget == 0 || run.flags.valid || !run.flags.remote()) {
-          return;
+        if (!run.flags.valid && run.flags.remote()) {
+          plan.push_back(PlannedRun{&mm, vpn, run});
         }
-        PteRun clipped = run;
-        clipped.npages = std::min(run.npages, budget);
-        budget -= clipped.npages;
-        plan.push_back(PlannedRun{&mm, vpn, clipped});
       });
     }
   }

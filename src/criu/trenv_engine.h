@@ -49,10 +49,6 @@ class TrEnvEngine : public RestoreEngine {
     // runs are byte-identical to the pre-prefetch engine.
     struct Prefetch {
       bool enabled = false;
-      // Leading fraction of the recorded working set fetched eagerly.
-      double eager_fraction = 1.0;
-      // Incast penalty of the engine's private prefetch NIC queue.
-      double incast_penalty = 0.04;
     } prefetch = {};
   };
 

@@ -40,7 +40,7 @@ class FaultInjector {
 
   // The injector reads virtual time from whichever scheduler is currently
   // driving the simulation. The Cluster rebinds this as it drains node
-  // schedulers whose clocks diverge during RunAllToCompletion.
+  // schedulers whose clocks diverge during DrainAll.
   void BindClock(const EventScheduler* scheduler) { clock_ = scheduler; }
   // Node whose backends are currently fetching; scopes kCxlPortDegrade
   // windows that target a single MHD port.

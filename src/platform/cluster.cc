@@ -36,11 +36,11 @@ Cluster::Cluster(ClusterConfig config)
       fabric_->BindFaultInjector(injector_.get());
     }
     pool_mgr_ = std::make_unique<PoolManager>(config_.poolmgr, config_.nodes, fabric_.get(),
-                                              &stats_);
+                                              &control_clock_, &stats_);
     if (config_.poolctl.enabled) {
-      // The continuous control plane runs on the pool clock from time zero;
+      // The continuous control plane ticks on the control clock from time zero;
       // it installs the continuous read/admission policy into the manager
-      // and takes over crash/restart routing (see ApplyNodeEvent).
+      // and takes over crash/restart routing (see ApplyFaultEvent).
       pool_ctl_ = std::make_unique<PoolControlPlane>(config_.poolctl, pool_mgr_.get(),
                                                      &config_.faults, &stats_,
                                                      config_.node_config.tracer);
@@ -48,10 +48,10 @@ Cluster::Cluster(ClusterConfig config)
     }
   }
   if (config_.shstate.enabled) {
-    // Shared-state regions live on the same tiered pool as templates; the
-    // data plane's clock joins the lock-step advance like poolmgr's.
+    // Shared-state regions live on the same tiered pool as templates, and
+    // their shootdowns and reader-lease expiries on the same control clock.
     shstate_ = std::make_unique<RegionManager>(config_.shstate, config_.nodes, &tiered_,
-                                               &backends_, &stats_);
+                                               &backends_, &control_clock_, &stats_);
   }
 
   for (uint32_t i = 0; i < config_.nodes; ++i) {
@@ -226,8 +226,9 @@ Status Cluster::Dispatch(SimTime arrival, const std::string& function,
   if (pool_mgr_ != nullptr) {
     // Attach the template through the control plane before the invocation
     // can start: a lease hit is metadata-only; a miss pulls the shards over
-    // the chosen node's NIC. Expired leases up to `arrival` lapse first.
-    pool_mgr_->clock().RunUntil(arrival);
+    // the chosen node's NIC. Leases are as the control clock last left them:
+    // at the arrival for a fresh invocation, at the fault event for a
+    // failover re-dispatch, at the window start for windowed dispatch.
     const FunctionId fid = GlobalFunctionInterner().Find(function);
     const PoolManager::AttachOutcome attach =
         pool_mgr_->Attach(static_cast<uint32_t>(node_index), fid, arrival);
@@ -271,48 +272,6 @@ void Cluster::FocusNode(size_t i) {
   }
   injector_->BindClock(&nodes_[i]->platform->scheduler());
   injector_->SetActiveNode(static_cast<uint32_t>(i));
-}
-
-void Cluster::AdvanceAllTo(SimTime t) {
-  // Dead nodes advance too (their queue is empty; only the clock moves), so
-  // a restarted node rejoins at the cluster-wide instant.
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    FocusNode(i);
-    nodes_[i]->platform->scheduler().RunUntil(t);
-  }
-  AdvanceControlClocksTo(t);
-}
-
-void Cluster::AdvanceControlClocksTo(SimTime t) {
-  if (pool_mgr_ != nullptr) {
-    // The control plane's clock (lease expiries, rebalances) moves in
-    // lock-step with the worker nodes.
-    pool_mgr_->clock().RunUntil(t);
-  }
-  if (shstate_ != nullptr) {
-    // Invalidation shootdowns and reader-lease expiries follow the same
-    // lock-step timeline.
-    shstate_->clock().RunUntil(t);
-  }
-}
-
-void Cluster::DrainControlClocks() {
-  if (pool_ctl_ != nullptr) {
-    // Cancel the periodic ticks (heartbeats, rebalancing) so the drain
-    // below terminates; lease expiries still lapse on their own. No final
-    // converge: replication at trace end is whatever the continuous loop
-    // actually restored.
-    pool_ctl_->Quiesce();
-  }
-  if (pool_mgr_ != nullptr) {
-    // Let outstanding lease-expiry and rebalance events lapse; every grant
-    // schedules exactly one expiry, so this drains.
-    pool_mgr_->clock().RunUntilIdle();
-  }
-  if (shstate_ != nullptr) {
-    // Same for invalidation shootdowns and reader-lease expiries.
-    shstate_->clock().RunUntilIdle();
-  }
 }
 
 void Cluster::CrashNode(size_t i, SimTime when) {
@@ -369,7 +328,7 @@ void Cluster::RestartNode(size_t i, SimTime when) {
   }
 }
 
-void Cluster::ApplyNodeEvent(const FaultInjector::NodeEvent& event) {
+void Cluster::ApplyFaultEvent(const FaultInjector::NodeEvent& event) {
   switch (event.kind) {
     case FaultInjector::NodeEvent::Kind::kCrash:
       if (event.node < nodes_.size()) {
@@ -423,27 +382,23 @@ Status Cluster::Run(const Schedule& schedule) {
   // advance every node up to each arrival before placing it. Node-level
   // fault events (crashes, restarts, pressure windows) merge into the same
   // timeline so their ordering against arrivals is exact.
-  std::vector<FaultInjector::NodeEvent> plan;
-  if (injector_ != nullptr) {
-    plan = injector_->PlanNodeEvents(static_cast<uint32_t>(nodes_.size()),
-                                     pool_mgr_ != nullptr ? config_.poolmgr.pool_nodes : 0);
-  }
+  const std::vector<FaultInjector::NodeEvent> plan = PlanFaultEvents();
   size_t next_event = 0;
   for (const Invocation& invocation : schedule) {
     while (next_event < plan.size() && plan[next_event].time <= invocation.arrival) {
-      AdvanceAllTo(plan[next_event].time);
-      ApplyNodeEvent(plan[next_event]);
+      AdvanceClocksTo(plan[next_event].time);
+      ApplyFaultEvent(plan[next_event]);
       ++next_event;
     }
-    AdvanceAllTo(invocation.arrival);
+    AdvanceClocksTo(invocation.arrival);
     TRENV_RETURN_IF_ERROR(Submit(invocation.arrival, invocation.function));
   }
   while (next_event < plan.size()) {
-    AdvanceAllTo(plan[next_event].time);
-    ApplyNodeEvent(plan[next_event]);
+    AdvanceClocksTo(plan[next_event].time);
+    ApplyFaultEvent(plan[next_event]);
     ++next_event;
   }
-  RunAllToCompletion();
+  DrainAll();
   return Status::Ok();
 }
 
@@ -456,16 +411,12 @@ bool Cluster::CanShardAcrossThreads() const {
 }
 
 Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& options) {
-  std::vector<FaultInjector::NodeEvent> plan;
-  if (injector_ != nullptr) {
-    plan = injector_->PlanNodeEvents(static_cast<uint32_t>(nodes_.size()),
-                                     pool_mgr_ != nullptr ? config_.poolmgr.pool_nodes : 0);
-  }
+  const std::vector<FaultInjector::NodeEvent> plan = PlanFaultEvents();
   // Shard count: clamped to the node count; degraded to one shard when a
-  // cross-node-shared component (injector, tracer, prewarm, density) is
-  // configured. Degradation changes only how much work runs concurrently —
-  // the epoch algorithm below is identical, so output is still independent
-  // of the requested shard count.
+  // cross-node-shared component (injector, tracer, prewarm, density,
+  // shstate) is configured. Degradation changes only how much work runs
+  // concurrently — the epoch algorithm below is identical, so output is
+  // still independent of the requested shard count.
   uint32_t shards = std::max<uint32_t>(1, options.shards);
   shards = std::min<uint32_t>(shards, static_cast<uint32_t>(nodes_.size()));
   if (!CanShardAcrossThreads()) {
@@ -502,15 +453,18 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   // One epoch: each shard first applies its mailbox (in global push order,
   // before any drain, so scheduler sequence numbers match an immediate
   // submit), then drains its nodes in index order up to the target. The
-  // control-plane clocks follow on the coordinator thread. Lambdas are
-  // built once; `target` is rebound per epoch.
+  // control clock follows on the coordinator thread. Lambdas are built
+  // once; `target` is rebound per epoch.
   SimTime target;
-  const std::function<void(size_t)> advance_shard = [&](size_t s) {
+  const auto apply_inbox = [&](size_t s) {
     for (const size_t idx : sink.inboxes[s]) {
       const SubmitCmd& cmd = sink.cmds[idx];
       sink.statuses[idx] =
           nodes_[cmd.node]->platform->Submit(cmd.start, cmd.function, cmd.on_complete);
     }
+  };
+  const std::function<void(size_t)> advance_shard = [&](size_t s) {
+    apply_inbox(s);
     for (size_t i = shard_range[s].first; i < shard_range[s].second; ++i) {
       if (injector_ != nullptr) {
         FocusNode(i);  // injector implies shards == 1: still coordinator-serial
@@ -519,11 +473,7 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
     }
   };
   const std::function<void(size_t)> finish_shard = [&](size_t s) {
-    for (const size_t idx : sink.inboxes[s]) {
-      const SubmitCmd& cmd = sink.cmds[idx];
-      sink.statuses[idx] =
-          nodes_[cmd.node]->platform->Submit(cmd.start, cmd.function, cmd.on_complete);
-    }
+    apply_inbox(s);
     for (size_t i = shard_range[s].first; i < shard_range[s].second; ++i) {
       if (injector_ != nullptr) {
         FocusNode(i);
@@ -558,7 +508,7 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
     sink.statuses.resize(sink.cmds.size());
     coordinator.RunEpoch(advance_shard);
     TRENV_RETURN_IF_ERROR(settle_mailbox());
-    AdvanceControlClocksTo(t);
+    control_clock_.RunUntil(t);
     if (windowed) {
       // A sync point refreshes the real load state; the window's provisional
       // placement counts are now visible as concurrent startups.
@@ -575,7 +525,7 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
     if (next_event < plan.size() &&
         (!pending.has_value() || plan[next_event].time <= pending->arrival)) {
       TRENV_RETURN_IF_ERROR(epoch_advance(plan[next_event].time));
-      ApplyNodeEvent(plan[next_event]);
+      ApplyFaultEvent(plan[next_event]);
       ++next_event;
       continue;
     }
@@ -600,23 +550,16 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   }
 
   // Final epoch: flush the last window's mailboxes, then drain every node to
-  // completion (nodes diverge in time here, exactly like RunAllToCompletion —
-  // no cross-node interaction remains).
+  // completion (nodes diverge in time here, exactly like DrainAll — no
+  // cross-node interaction remains). DrainAll then finds the nodes idle and
+  // drains only the control clock.
   sink.statuses.resize(sink.cmds.size());
   coordinator.RunEpoch(finish_shard);
   TRENV_RETURN_IF_ERROR(settle_mailbox());
-  DrainControlClocks();
+  DrainAll();
   sharded_epochs_ = coordinator.epochs();
   sharded_barrier_wait_ = coordinator.barrier_wait_seconds();
   return Status::Ok();
-}
-
-void Cluster::RunAllToCompletion() {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    FocusNode(i);
-    nodes_[i]->platform->RunToCompletion();
-  }
-  DrainControlClocks();
 }
 
 std::optional<SimTime> Cluster::NextEventTime() {
@@ -629,16 +572,19 @@ std::optional<SimTime> Cluster::NextEventTime() {
   for (auto& node : nodes_) {
     consider(node->platform->scheduler().NextEventTime());
   }
-  if (pool_mgr_ != nullptr) {
-    consider(pool_mgr_->clock().NextEventTime());
-  }
-  if (shstate_ != nullptr) {
-    consider(shstate_->clock().NextEventTime());
-  }
+  consider(control_clock_.NextEventTime());
   return earliest;
 }
 
-void Cluster::AdvanceClocksTo(SimTime t) { AdvanceAllTo(t); }
+void Cluster::AdvanceClocksTo(SimTime t) {
+  // Dead nodes advance too (their queue is empty; only the clock moves), so
+  // a restarted node rejoins at the cluster-wide instant.
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    FocusNode(i);
+    nodes_[i]->platform->scheduler().RunUntil(t);
+  }
+  control_clock_.RunUntil(t);
+}
 
 std::vector<FaultInjector::NodeEvent> Cluster::PlanFaultEvents() {
   if (injector_ == nullptr) {
@@ -648,9 +594,21 @@ std::vector<FaultInjector::NodeEvent> Cluster::PlanFaultEvents() {
                                    pool_mgr_ != nullptr ? config_.poolmgr.pool_nodes : 0);
 }
 
-void Cluster::ApplyFaultEvent(const FaultInjector::NodeEvent& event) { ApplyNodeEvent(event); }
-
-void Cluster::DrainAll() { RunAllToCompletion(); }
+void Cluster::DrainAll() {
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    FocusNode(i);
+    nodes_[i]->platform->RunToCompletion();
+  }
+  if (pool_ctl_ != nullptr) {
+    // Cancel the periodic ticks (heartbeats, rebalancing) so the drain below
+    // terminates. No final converge: replication at trace end is whatever
+    // the continuous loop actually restored.
+    pool_ctl_->Quiesce();
+  }
+  // Every lease grant and reader lease schedules exactly one expiry, and
+  // every shootdown is one event, so this drains.
+  control_clock_.RunUntilIdle();
+}
 
 uint64_t Cluster::NodeDramBytes() const {
   uint64_t total = 0;

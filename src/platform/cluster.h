@@ -23,6 +23,7 @@
 #include "src/poolctl/control_plane.h"
 #include "src/poolmgr/pool_manager.h"
 #include "src/shstate/region_manager.h"
+#include "src/sim/event_scheduler.h"
 #include "src/sim/shard_coordinator.h"
 #include "src/workload/arrival_stream.h"
 
@@ -102,6 +103,10 @@ class Cluster {
   // Dispatches an invocation to a node per the configured policy. If every
   // node is down (mid-crash-window), the invocation is parked and
   // re-dispatched when a node restarts. Errors name the rejecting node.
+  //
+  // Submit advances no clock: a caller advances the rack to `arrival` first
+  // (AdvanceClocksTo; Run and RunSharded do it for every arrival), so the
+  // dispatch reads the load and the lease state at that instant.
   [[nodiscard]] Status Submit(SimTime arrival, const std::string& function);
 
   // Extra dispatch controls for pipeline drivers.
@@ -121,10 +126,11 @@ class Cluster {
   // trace never materializes) and the per-node EventSchedulers advance in
   // parallel epochs under conservative-lookahead synchronization. Cross-shard
   // interactions (dispatch, poolmgr attach, failover re-dispatch) stay on the
-  // coordinator thread between epochs; platform submits travel through
-  // per-shard mailboxes drained in deterministic global-sequence order at the
-  // next epoch. Output is byte-identical at any `shards` setting, and with
-  // lookahead zero it is byte-identical to Run() on the collected schedule.
+  // coordinator thread between epochs, as does the control clock; platform
+  // submits travel through per-shard mailboxes drained in deterministic
+  // global-sequence order at the next epoch. Output is byte-identical at any
+  // `shards` setting, and with lookahead zero it is byte-identical to Run()
+  // on the collected schedule.
   //
   // Preconditions for cross-thread sharding: no fault injector, no tracer,
   // no prewarm policy, density off, shstate off. When any of those is
@@ -160,16 +166,18 @@ class Cluster {
   // An external driver (shstate::PipelineDriver) interleaves its own action
   // queue with the cluster's timeline through these instead of Run().
   //
-  // Earliest pending event across node schedulers and control-plane clocks.
+  // Earliest pending event across the node schedulers and the control clock.
   std::optional<SimTime> NextEventTime();
-  // Runs every clock up to t in lock-step (wraps the private AdvanceAllTo).
+  // Runs every node scheduler, then the control clock, up to t. Besides the
+  // run loops, nothing else moves a clock.
   void AdvanceClocksTo(SimTime t);
   // Node-level fault plan (empty without an injector) and its application,
   // so a driver can merge crash/restart events into its own loop exactly
   // like Run() does.
   std::vector<FaultInjector::NodeEvent> PlanFaultEvents();
   void ApplyFaultEvent(const FaultInjector::NodeEvent& event);
-  // Drains every scheduler (wraps the private RunAllToCompletion).
+  // Drains every node scheduler, then stops poolctl's periodic ticks and
+  // drains the control clock (the lease expiries and shootdowns still due).
   void DrainAll();
   // Invocations the cluster accepted via Submit — the chaos bench's
   // zero-loss check compares this against completed counts.
@@ -243,21 +251,10 @@ class Cluster {
   Status Dispatch(SimTime arrival, const std::string& function,
                   SubmitOptions options);
   // Points the injector's clock and CXL-port scope at node i before its
-  // scheduler is drained (node clocks diverge during RunAllToCompletion).
+  // scheduler is drained (node clocks diverge during DrainAll).
   void FocusNode(size_t i);
-  // Runs every node's scheduler up to t in lock-step.
-  void AdvanceAllTo(SimTime t);
-  // The control-plane clocks (poolmgr, shstate) in lock-step with the nodes:
-  // advanced to t after every node, and drained after the nodes finish.
-  // Shared by the sequential and sharded run loops.
-  void AdvanceControlClocksTo(SimTime t);
-  void DrainControlClocks();
-  void ApplyNodeEvent(const FaultInjector::NodeEvent& event);
   void CrashNode(size_t i, SimTime when);
   void RestartNode(size_t i, SimTime when);
-  // One virtual timeline shared by all nodes: Run drains schedulers in
-  // lock-step so cross-node ordering stays deterministic.
-  void RunAllToCompletion();
 
   ClusterConfig config_;
   obs::Registry stats_;
@@ -270,6 +267,10 @@ class Cluster {
   // Inter-node transfer fabric for the pool control plane's shard pulls;
   // separate from the MHD so attach traffic contends on its own NIC path.
   std::unique_ptr<RdmaPool> fabric_;
+  // The rack's control clock: poolmgr lease expiries and rebalances, poolctl
+  // ticks, and shstate shootdowns and reader-lease expiries share this one
+  // timeline. Declared before its users so it outlives them.
+  EventScheduler control_clock_;
   std::unique_ptr<PoolManager> pool_mgr_;
   std::unique_ptr<PoolControlPlane> pool_ctl_;
   std::unique_ptr<RegionManager> shstate_;

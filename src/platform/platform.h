@@ -59,7 +59,6 @@ struct PlatformConfig {
   // TrEnvEngine::Options::prefetch). Off by default: disabled runs take the
   // historical code paths byte-identically.
   bool trenv_prefetch = false;
-  double trenv_prefetch_eager_fraction = 1.0;
 };
 
 // Invoked when an invocation completes successfully: the completing node's

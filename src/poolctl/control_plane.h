@@ -3,8 +3,8 @@
 // Static membership (this module off) rewires the ring the instant a pool
 // node crashes or restarts and repairs placement with one unbudgeted
 // reconcile pass `rebalance_delay` after the change. This module replaces
-// that with a running control plane on the pool clock, ticking the same
-// PoolManager::ReconcileShard primitive under a budget
+// that with a running control plane on the cluster's control clock, ticking
+// the same PoolManager::ReconcileShard primitive under a budget
 // (docs/control_plane.md):
 //
 //   * Membership — a GossipMembership detector observes heartbeats and
@@ -27,7 +27,7 @@
 //     poolmgr shed cold attaches to NAS when a worker NIC's backlog passes
 //     the threshold (never dropping an accepted invocation).
 //
-// Determinism: every decision runs on the lock-stepped pool clock, iterates
+// Determinism: every decision runs on the cluster's control clock, iterates
 // in node/shard order, and draws randomness only from the membership
 // detector's private seeded Rng — output stays byte-identical across
 // --jobs and --shards.
@@ -78,7 +78,7 @@ class PoolControlPlane {
 
   // Starts the heartbeat and rebalance ticks (idempotent).
   void Start(SimTime now);
-  // Cancels both periodic ticks so the pool clock's RunUntilIdle can drain.
+  // Cancels both periodic ticks so the control clock's RunUntilIdle can drain.
   // Deliberately does NOT run a final unbudgeted converge: "replication
   // restored by trace end" must be earned by the continuous loop.
   void Quiesce();

@@ -6,7 +6,7 @@
 // Production control planes have neither luxury: they observe heartbeats,
 // accrue suspicion, and sometimes declare a live node dead because the
 // *network* dropped its beats (an RDMA flap), not the node. This module is
-// that detector, collapsed onto the control plane's own EventScheduler:
+// that detector, collapsed onto the cluster's control clock:
 //
 //   * One periodic tick delivers (or drops) a heartbeat per up node, in node
 //     order, then re-evaluates suspicion — a phi-accrual detector simplified
@@ -61,7 +61,7 @@ class GossipMembership {
   };
   using Listener = std::function<void(const Transition&)>;
 
-  // `clock` is the control plane's scheduler (not owned); `stats` may be
+  // `clock` is the cluster's control clock (not owned); `stats` may be
   // null. Nothing is scheduled until Start().
   GossipMembership(MembershipConfig config, uint32_t fleet, EventScheduler* clock,
                    obs::Registry* stats);

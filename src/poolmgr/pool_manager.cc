@@ -7,8 +7,8 @@
 namespace trenv {
 
 PoolManager::PoolManager(PoolManagerConfig config, uint32_t worker_nodes,
-                         MemoryBackend* fabric, obs::Registry* stats)
-    : config_(config), fabric_(fabric), ring_(config.vnodes_per_node) {
+                         MemoryBackend* fabric, EventScheduler* clock, obs::Registry* stats)
+    : config_(config), fabric_(fabric), clock_(clock), ring_(config.vnodes_per_node) {
   alive_.assign(config_.pool_nodes, true);
   served_pages_.assign(config_.pool_nodes, 0);
   for (uint32_t n = 0; n < config_.pool_nodes; ++n) {
@@ -216,9 +216,9 @@ void PoolManager::GrantLease(uint32_t worker, FunctionId fid, SimTime now) {
   lease.refs += 1;
   lease.expires = now + config_.lease_ttl;
   // One expiry event per grant window: the lease dies when the last grant's
-  // window lapses — refcounted expiry, driven by the control-plane clock.
-  const SimTime expiry = std::max(now, clock_.now()) + config_.lease_ttl;
-  clock_.ScheduleAt(expiry, [this, worker, fid] {
+  // window lapses — refcounted expiry, driven by the control clock.
+  const SimTime expiry = std::max(now, clock_->now()) + config_.lease_ttl;
+  clock_->ScheduleAt(expiry, [this, worker, fid] {
     auto it = leases_[worker].find(fid);
     if (it == leases_[worker].end() || it->second.refs == 0) {
       return;  // already revoked or released with the worker
@@ -341,9 +341,9 @@ void PoolManager::ScheduleRebalance(SimTime when) {
     return;  // one pass covers every membership change before it fires
   }
   rebalance_pending_ = true;
-  clock_.ScheduleAt(std::max(when, clock_.now()), [this] {
+  clock_->ScheduleAt(std::max(when, clock_->now()), [this] {
     rebalance_pending_ = false;
-    RunRebalance(clock_.now());
+    RunRebalance(clock_->now());
   });
 }
 

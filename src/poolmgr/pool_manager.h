@@ -11,9 +11,7 @@
 //   * Lease-based remote attach — a worker taking a template pays the
 //     shard transfers once, then holds a refcounted, TTL-expiring lease;
 //     further attaches on that worker are metadata-only until every grant
-//     window lapses. Expiry is driven by the control plane's own
-//     EventScheduler, which the Cluster advances in lock-step with the
-//     worker clocks.
+//     window lapses. Expiry events run on the cluster's control clock.
 //   * Failure wiring — a pool-node crash (FaultDomain::kPoolNodeCrash)
 //     revokes nothing when replication >= 2: a surviving replica is promoted
 //     to primary and leases stay valid. With replication 1 the lost shards'
@@ -90,16 +88,17 @@ struct ContinuousPoolPolicy {
 
 class PoolManager {
  public:
-  // `fabric` models the inter-node transfer path (not owned); `stats` may be
-  // null. Worker NICs are indexed [0, worker_nodes).
+  // `fabric` models the inter-node transfer path and `clock` is the
+  // cluster's control clock (neither owned); `stats` may be null. Worker NICs
+  // are indexed [0, worker_nodes).
   PoolManager(PoolManagerConfig config, uint32_t worker_nodes, MemoryBackend* fabric,
-              obs::Registry* stats);
+              EventScheduler* clock, obs::Registry* stats);
   PoolManager(const PoolManager&) = delete;
   PoolManager& operator=(const PoolManager&) = delete;
 
-  // The control plane's clock; the Cluster advances it in lock-step with
-  // the worker-node schedulers and drains it at end of run.
-  EventScheduler& clock() { return clock_; }
+  // The cluster's control clock, on which lease expiries, rebalances and
+  // poolctl's ticks are scheduled.
+  EventScheduler& clock() { return *clock_; }
 
   // Registers a function's consolidated image: every chunk fingerprint
   // becomes (or joins) a shard placed on the ring. Idempotent per fid.
@@ -249,7 +248,7 @@ class PoolManager {
 
   PoolManagerConfig config_;
   MemoryBackend* fabric_;
-  EventScheduler clock_;
+  EventScheduler* clock_;
   HashRing ring_;
   std::vector<bool> alive_;          // pool-node liveness
   std::vector<NicFetchQueue> nics_;  // one per worker node

@@ -243,7 +243,7 @@ Status PipelineDriver::Run(const PipelineSpec& spec,
   }
 
   // Interleave the action queue with the cluster's clocks: execute every
-  // action due at `now`, then advance all clocks in lock-step to the next
+  // action due at `now`, then advance the cluster's clocks to the next
   // instant anything (action or scheduled event) happens. Completion
   // callbacks fire during AdvanceClocksTo and land back in the queue at the
   // very time the clocks just reached.

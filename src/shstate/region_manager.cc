@@ -16,10 +16,12 @@ constexpr uint64_t kScratchFrameBytes = 64ULL * kMiB;
 }  // namespace
 
 RegionManager::RegionManager(ShStateConfig config, uint32_t workers, TieredPool* pool,
-                             const BackendRegistry* backends, obs::Registry* stats)
+                             const BackendRegistry* backends, EventScheduler* clock,
+                             obs::Registry* stats)
     : config_(config),
       pool_(pool),
       backends_(backends),
+      clock_(clock),
       frames_(kScratchFrameBytes),
       fault_handler_(&frames_, backends, stats),
       next_window_(AddrToVpn(kWindowVmaStart)) {
@@ -141,7 +143,7 @@ SimDuration RegionManager::RevokeReaders(RegionId id, int32_t keep, SimTime now)
     // modeled after a TLB-shootdown IPI. The reader sees the revocation once
     // the event runs; its next ReadRegion re-maps and re-fetches.
     const uint32_t w = worker;
-    clock_.ScheduleAt(std::max(now, clock_.now()) + config_.invalidate_per_reader,
+    clock_->ScheduleAt(std::max(now, clock_->now()) + config_.invalidate_per_reader,
                       [this, id, w] {
                         Region& r = regions_[id];
                         // Skip if the worker re-opened (mapped again) or took
@@ -192,13 +194,13 @@ void RegionManager::GrantLease(RegionId id, uint32_t worker, SimTime now) {
   Count(lease_grants_counter_);
   // One expiry event per grant window (poolmgr's scheme): renewals push
   // lease_expires forward, so earlier events find the lease still live.
-  clock_.ScheduleAt(reader.lease_expires, [this, id, worker] {
+  clock_->ScheduleAt(reader.lease_expires, [this, id, worker] {
     Region& r = regions_[id];
     if (!r.live) {
       return;
     }
     auto it = r.readers.find(worker);
-    if (it == r.readers.end() || clock_.now() < it->second.lease_expires) {
+    if (it == r.readers.end() || clock_->now() < it->second.lease_expires) {
       return;  // renewed (or already gone)
     }
     if (it->second.mapped) {

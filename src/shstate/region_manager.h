@@ -12,10 +12,10 @@
 //     (valid + wp + shared; loads are direct remote, stores are refused by
 //     the fault handler until an ownership upgrade).
 //   * Explicit invalidation — an ownership upgrade or an owner write revokes
-//     every reader mapping via invalidation events on the data plane's own
-//     EventScheduler (advanced in lock-step by the Cluster, like poolmgr's).
-//     A revoked reader's next read re-maps the window and re-fetches the
-//     pages, so coherence traffic is modeled and measurable.
+//     every reader mapping via invalidation events on the cluster's control
+//     clock (the one poolmgr's lease expiries use). A revoked reader's next
+//     read re-maps the window and re-fetches the pages, so coherence traffic
+//     is modeled and measurable.
 //   * Leases — cross-node readers hold TTL leases mirroring the poolmgr
 //     machinery (one expiry event per grant window); an expired, unmapped
 //     reader re-opens on next use. A worker crash drops its leases and
@@ -79,15 +79,13 @@ struct RegionOp {
 class RegionManager {
  public:
   // `pool` places region pages (not owned); `backends` resolves their tier's
-  // latency model; `stats` may be null.
+  // latency model; `clock` is the cluster's control clock (not owned), on
+  // which shootdowns and reader-lease expiries run; `stats` may be null.
   RegionManager(ShStateConfig config, uint32_t workers, TieredPool* pool,
-                const BackendRegistry* backends, obs::Registry* stats);
+                const BackendRegistry* backends, EventScheduler* clock,
+                obs::Registry* stats);
   RegionManager(const RegionManager&) = delete;
   RegionManager& operator=(const RegionManager&) = delete;
-
-  // The data plane's clock; the Cluster advances it in lock-step with the
-  // worker-node schedulers and drains it at end of run.
-  EventScheduler& clock() { return clock_; }
 
   const ShStateConfig& config() const { return config_; }
   uint32_t HomeOf(uint32_t worker) const { return worker % config_.pool_nodes; }
@@ -192,7 +190,7 @@ class RegionManager {
   ShStateConfig config_;
   TieredPool* pool_;
   const BackendRegistry* backends_;
-  EventScheduler clock_;
+  EventScheduler* clock_;
 
   // One address space per worker holding the shared-region windows. Shared
   // mappings never allocate local frames, but the fault handler needs an

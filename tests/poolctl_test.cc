@@ -153,7 +153,8 @@ PoolManagerConfig ContinuousPoolConfig(uint32_t replication, uint32_t pool_nodes
 
 TEST(PoolCtlTest, BackloggedNicShedsColdAttachToNas) {
   RdmaPool fabric(kGiB);
-  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, nullptr);
+  EventScheduler clock;
+  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, &clock, nullptr);
   ContinuousPoolPolicy policy;
   policy.shed_queue_threshold = SimDuration::FromMicrosF(10.0);
   mgr.EnableContinuousControl(policy);
@@ -182,7 +183,8 @@ TEST(PoolCtlTest, BackloggedNicShedsColdAttachToNas) {
 
 TEST(PoolCtlTest, DeadReadsSkipToLiveReplica) {
   RdmaPool fabric(kGiB);
-  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, nullptr);
+  EventScheduler clock;
+  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, &clock, nullptr);
   ContinuousPoolPolicy policy;
   policy.spread_reads = false;  // always start at the primary: the dead hop
                                 // below is then deterministic
@@ -205,7 +207,8 @@ TEST(PoolCtlTest, DeadReadsSkipToLiveReplica) {
 
 TEST(PoolCtlTest, AllReplicasDownFallsBackToNas) {
   RdmaPool fabric(kGiB);
-  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, nullptr);
+  EventScheduler clock;
+  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, &clock, nullptr);
   mgr.EnableContinuousControl(ContinuousPoolPolicy{});
   mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
   for (uint32_t n = 0; n < 4; ++n) {
@@ -224,7 +227,8 @@ TEST(PoolCtlTest, AllReplicasDownFallsBackToNas) {
 
 TEST(PoolCtlTest, ReconcileShardHonorsBudgetAndConverges) {
   RdmaPool fabric(kGiB);
-  PoolManager mgr(ContinuousPoolConfig(1), /*worker_nodes=*/2, &fabric, nullptr);
+  EventScheduler clock;
+  PoolManager mgr(ContinuousPoolConfig(1), /*worker_nodes=*/2, &fabric, &clock, nullptr);
   mgr.EnableContinuousControl(ContinuousPoolPolicy{});
   mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
   ASSERT_EQ(mgr.ShardReplicas(0).size(), 1u);
@@ -255,7 +259,8 @@ TEST(PoolCtlTest, HotShardGainsExtraReplicasAndDecaysBack) {
   RdmaPool fabric(kGiB);
   auto pool_config = ContinuousPoolConfig(1, /*pool_nodes=*/8);
   pool_config.lease_ttl = SimDuration::Millis(40);  // every round is a miss
-  PoolManager mgr(pool_config, /*worker_nodes=*/4, &fabric, nullptr);
+  EventScheduler clock;
+  PoolManager mgr(pool_config, /*worker_nodes=*/4, &fabric, &clock, nullptr);
   PoolCtlConfig ctl;
   ctl.enabled = true;
   ctl.hot_promote_score = 4;

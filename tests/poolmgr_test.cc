@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "src/fault/fault_schedule.h"
 #include "src/mempool/rdma_pool.h"
 #include "src/platform/cluster.h"
 #include "src/poolmgr/fetch_queue.h"
@@ -226,8 +227,9 @@ ConsolidatedImage TwoChunkImage(uint64_t fp_a, uint64_t fp_b) {
 
 struct PoolManagerFixture {
   explicit PoolManagerFixture(PoolManagerConfig config, uint32_t workers = 2)
-      : fabric(kGiB), mgr(config, workers, &fabric, nullptr) {}
+      : fabric(kGiB), mgr(config, workers, &fabric, &clock, nullptr) {}
   RdmaPool fabric;
+  EventScheduler clock;
   PoolManager mgr;
 };
 
@@ -603,6 +605,51 @@ TEST(PoolClusterTest, RunsAreDeterministic) {
                            mgr.attach_ms().Percentile(99));
   };
   EXPECT_EQ(fingerprint(), fingerprint());
+}
+
+TEST(PoolClusterTest, FailoverRedispatchLeavesTheControlClockAtTheCrash) {
+  // A crash re-dispatch is dated detection_latency after the crash. Only the
+  // run loop moves the control clock, so leases due in that gap must still
+  // be live for arrivals that come before the re-dispatch.
+  ClusterConfig config = PoolClusterConfig(ClusterConfig::Dispatch::kTemplateLocality, 2);
+  config.nodes = 2;
+  config.poolmgr.lease_ttl = SimDuration::Seconds(1);
+  // The window lies past the test; it only makes the cluster build the
+  // fault injector that ApplyFaultEvent needs.
+  config.faults.Add(NodeCrashWindow(SimTime::Zero() + SimDuration::Seconds(100),
+                                    SimTime::Zero() + SimDuration::Seconds(101), 1.0, 0,
+                                    SimDuration::Seconds(1)));
+  Cluster cluster(config);
+  ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+  const auto at = [](int64_t ms) { return SimTime::Zero() + SimDuration::Millis(ms); };
+  const auto on = [](int32_t node) {
+    Cluster::SubmitOptions options;
+    options.preferred_node = node;
+    return options;
+  };
+  const FunctionId js = GlobalFunctionInterner().Find("JS");
+  PoolManager& mgr = *cluster.pool_manager();
+
+  cluster.AdvanceClocksTo(at(0));
+  ASSERT_TRUE(cluster.Submit(at(0), "JS", on(1)).ok());  // node 1's lease runs to 1.0 s
+  cluster.AdvanceClocksTo(at(980));
+  ASSERT_TRUE(cluster.Submit(at(980), "CR", on(0)).ok());
+  cluster.AdvanceClocksTo(at(981));
+  FaultInjector::NodeEvent crash;
+  crash.time = at(981);
+  crash.node = 0;
+  crash.kind = FaultInjector::NodeEvent::Kind::kCrash;
+  cluster.ApplyFaultEvent(crash);  // CR re-dispatches to node 1 at 1.031 s
+  ASSERT_EQ(cluster.fault_injector()->failovers(), 1u);
+
+  EXPECT_EQ(mgr.clock().now().nanos(), at(981).nanos());
+  EXPECT_EQ(mgr.LeaseRefs(1, js), 1u);
+  const uint64_t hits = mgr.lease_hits();
+  cluster.AdvanceClocksTo(at(990));
+  ASSERT_TRUE(cluster.Submit(at(990), "JS", on(1)).ok());
+  EXPECT_EQ(mgr.lease_hits(), hits + 1);
+  cluster.DrainAll();
+  EXPECT_EQ(cluster.TotalInvocations(), 3u);
 }
 
 }  // namespace

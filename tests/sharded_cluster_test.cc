@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/interner.h"
 #include "src/platform/cluster.h"
 #include "src/workload/arrival_stream.h"
 
@@ -169,37 +170,95 @@ TEST(ShardedClusterTest, FaultedRunDegradesToOneShardAndMatchesLegacy) {
 }
 
 TEST(ShardedClusterTest, ShStateClockAdvancesAndDrainsLikeRun) {
-  // The shared-state plane's clock (reader-lease expiries, shootdowns) must
+  // The shared-state plane's events (reader-lease expiries, shootdowns) must
   // follow the sharded epochs and drain at the end exactly as in Run(): a
   // reader lease lapsing before the only arrival is unmapped, and no event
-  // is left pending.
+  // is left pending. With poolmgr on, its template lease shares the control
+  // clock and the two runs must still agree.
   ClusterConfig config;
   config.nodes = 2;
   config.shstate.enabled = true;
   config.shstate.lease_ttl = SimDuration::Seconds(1);
+  config.poolmgr.lease_ttl = SimDuration::Seconds(3);
   const Schedule schedule = {{SimTime::Zero() + SimDuration::Seconds(2), "JS"}};
-  std::vector<std::string> fingerprints;
-  for (const bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "RunSharded" : "Run");
-    Cluster cluster(config);
-    ASSERT_TRUE(cluster.DeployTable4Functions().ok());
-    RegionManager& sh = *cluster.shared_state();
-    auto id_or = sh.CreateRegion("r", 16, /*owner=*/0, SimTime::Zero());
-    ASSERT_TRUE(id_or.ok());
-    const RegionId id = *id_or;
-    ASSERT_TRUE(sh.OpenReader(id, 1, SimTime::Zero()).ok());
-    ASSERT_TRUE(sh.ReaderMapped(id, 1));
-    if (sharded) {
-      ScheduleStream stream(schedule);
-      ASSERT_TRUE(cluster.RunSharded(stream).ok());
-    } else {
-      ASSERT_TRUE(cluster.Run(schedule).ok());
+  for (const bool poolmgr : {false, true}) {
+    config.poolmgr.enabled = poolmgr;
+    std::vector<std::string> fingerprints;
+    for (const bool sharded : {false, true}) {
+      SCOPED_TRACE(std::string(sharded ? "RunSharded" : "Run") + (poolmgr ? " +poolmgr" : ""));
+      Cluster cluster(config);
+      ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+      RegionManager& sh = *cluster.shared_state();
+      auto id_or = sh.CreateRegion("r", 16, /*owner=*/0, SimTime::Zero());
+      ASSERT_TRUE(id_or.ok());
+      const RegionId id = *id_or;
+      ASSERT_TRUE(sh.OpenReader(id, 1, SimTime::Zero()).ok());
+      ASSERT_TRUE(sh.ReaderMapped(id, 1));
+      if (sharded) {
+        ScheduleStream stream(schedule);
+        ASSERT_TRUE(cluster.RunSharded(stream).ok());
+      } else {
+        ASSERT_TRUE(cluster.Run(schedule).ok());
+      }
+      EXPECT_FALSE(sh.ReaderMapped(id, 1));
+      EXPECT_FALSE(cluster.NextEventTime().has_value());
+      fingerprints.push_back(Fingerprint(cluster));
     }
-    EXPECT_FALSE(sh.ReaderMapped(id, 1));
-    EXPECT_FALSE(cluster.NextEventTime().has_value());
-    fingerprints.push_back(Fingerprint(cluster));
+    EXPECT_EQ(fingerprints[0], fingerprints[1]);
   }
-  EXPECT_EQ(fingerprints[0], fingerprints[1]);
+}
+
+TEST(ShardedClusterTest, PoolAndShStateLeasesShareOneControlClock) {
+  // poolmgr and shstate on together: a template lease (3 s TTL) and a reader
+  // lease (1 s TTL) live on the cluster's one control clock. Each expires at
+  // its own TTL, NextEventTime sees the earlier one, and the drain empties
+  // the clock.
+  ClusterConfig config;
+  config.nodes = 2;
+  config.dispatch = ClusterConfig::Dispatch::kTemplateLocality;
+  config.node_config.keep_alive_ttl = SimDuration::Seconds(10);
+  config.poolmgr.enabled = true;
+  config.poolmgr.lease_ttl = SimDuration::Seconds(3);
+  config.shstate.enabled = true;
+  config.shstate.lease_ttl = SimDuration::Seconds(1);
+  const auto at = [](int64_t ms) { return SimTime::Zero() + SimDuration::Millis(ms); };
+  Cluster cluster(config);
+  ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+  RegionManager& sh = *cluster.shared_state();
+  PoolManager& pool = *cluster.pool_manager();
+  const FunctionId js = GlobalFunctionInterner().Find("JS");
+  auto id_or = sh.CreateRegion("r", 16, /*owner=*/0, at(0));
+  ASSERT_TRUE(id_or.ok());
+  const RegionId id = *id_or;
+  ASSERT_TRUE(sh.OpenReader(id, 1, at(0)).ok());
+  cluster.AdvanceClocksTo(at(0));
+  Cluster::SubmitOptions on_node0;
+  on_node0.preferred_node = 0;
+  ASSERT_TRUE(cluster.Submit(at(0), "JS", on_node0).ok());
+  ASSERT_EQ(pool.LeaseRefs(0, js), 1u);
+
+  // The invocation has finished; its keep-alive timer is due at >= 10 s.
+  cluster.AdvanceClocksTo(at(500));
+  ASSERT_TRUE(cluster.NextEventTime().has_value());
+  EXPECT_EQ(cluster.NextEventTime()->nanos(), at(1000).nanos());
+  cluster.AdvanceClocksTo(at(999));
+  EXPECT_TRUE(sh.ReaderMapped(id, 1));
+  cluster.AdvanceClocksTo(at(1000));
+  EXPECT_FALSE(sh.ReaderMapped(id, 1));
+  EXPECT_EQ(pool.LeaseRefs(0, js), 1u);
+
+  ASSERT_TRUE(cluster.NextEventTime().has_value());
+  EXPECT_EQ(cluster.NextEventTime()->nanos(), at(3000).nanos());
+  cluster.AdvanceClocksTo(at(2999));
+  EXPECT_EQ(pool.LeaseRefs(0, js), 1u);
+  cluster.AdvanceClocksTo(at(3000));
+  EXPECT_EQ(pool.LeaseRefs(0, js), 0u);
+  EXPECT_EQ(pool.leases_expired(), 1u);
+  EXPECT_EQ(sh.leases_expired(), 1u);
+
+  cluster.DrainAll();
+  EXPECT_FALSE(cluster.NextEventTime().has_value());
+  EXPECT_EQ(cluster.TotalInvocations(), 1u);
 }
 
 TEST(ShardedClusterTest, StreamingTraceMatchesMaterializedSchedule) {

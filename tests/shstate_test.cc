@@ -12,6 +12,7 @@
 #include "src/platform/cluster.h"
 #include "src/shstate/pipeline_driver.h"
 #include "src/shstate/region_manager.h"
+#include "src/sim/event_scheduler.h"
 #include "src/workload/pipeline.h"
 
 namespace trenv {
@@ -37,10 +38,12 @@ class ShStateTest : public ::testing::Test {
   CxlPool cxl_;
   BackendRegistry backends_;
   TieredPool tiered_;
+  // The control clock a Cluster would own; the tests drive it directly.
+  EventScheduler clock_;
 };
 
 TEST_F(ShStateTest, CreateMapsOwnerWithSharedOwnerFlags) {
-  RegionManager mgr(Config(), /*workers=*/4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), /*workers=*/4, &tiered_, &backends_, &clock_, nullptr);
   auto id_or = mgr.CreateRegion("r", kPages, /*owner=*/1, SimTime::Zero());
   ASSERT_TRUE(id_or.ok());
   const RegionId id = *id_or;
@@ -68,14 +71,14 @@ TEST_F(ShStateTest, LocalDramCannotBackARegion) {
   registry.Register(&dram);
   TieredPool local_only;
   local_only.AddTier(&dram);
-  RegionManager mgr(Config(), 2, &local_only, &registry, nullptr);
+  RegionManager mgr(Config(), 2, &local_only, &registry, &clock_, nullptr);
   auto id_or = mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   EXPECT_FALSE(id_or.ok());
   EXPECT_EQ(id_or.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(ShStateTest, OwnerWriteSetsDirtyAndBumpsVersion) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   auto op = mgr.WriteRegion(id, 0, SimTime::Zero());
   ASSERT_TRUE(op.ok());
@@ -89,7 +92,7 @@ TEST_F(ShStateTest, OwnerWriteSetsDirtyAndBumpsVersion) {
 }
 
 TEST_F(ShStateTest, NonOwnerWriteIsRefused) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   auto op = mgr.WriteRegion(id, 1, SimTime::Zero());
@@ -98,7 +101,7 @@ TEST_F(ShStateTest, NonOwnerWriteIsRefused) {
 }
 
 TEST_F(ShStateTest, ReaderMappingIsWriteProtectedShared) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 2, SimTime::Zero()).ok());
   EXPECT_TRUE(mgr.ReaderMapped(id, 2));
@@ -111,7 +114,7 @@ TEST_F(ShStateTest, ReaderMappingIsWriteProtectedShared) {
 }
 
 TEST_F(ShStateTest, OwnerWriteRevokesReadersAndReadRefetches) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.OpenReader(id, 2, SimTime::Zero()).ok());
@@ -127,7 +130,7 @@ TEST_F(ShStateTest, OwnerWriteRevokesReadersAndReadRefetches) {
   EXPECT_FALSE(mgr.ReaderMapped(id, 1));
   EXPECT_FALSE(mgr.ReaderMapped(id, 2));
   // The shootdown unmap lands on the data plane's clock.
-  mgr.clock().RunUntil(t + SimDuration::Seconds(1));
+  clock_.RunUntil(t + SimDuration::Seconds(1));
   EXPECT_FALSE(mgr.worker_mm(1).page_table().IsMapped(mgr.WindowOf(id)));
 
   // The revoked reader's next read re-maps and streams the region back in.
@@ -139,7 +142,7 @@ TEST_F(ShStateTest, OwnerWriteRevokesReadersAndReadRefetches) {
 }
 
 TEST_F(ShStateTest, ReopenBeforeShootdownEventKeepsWindowMapped) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.WriteRegion(id, 0, SimTime::Zero()).ok());  // revokes reader 1
@@ -148,13 +151,13 @@ TEST_F(ShStateTest, ReopenBeforeShootdownEventKeepsWindowMapped) {
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   // Run past the shootdown event but not the 10s lease TTL (an idle reader
   // legitimately unmaps at expiry).
-  mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(1));
+  clock_.RunUntil(SimTime::Zero() + SimDuration::Seconds(1));
   EXPECT_TRUE(mgr.ReaderMapped(id, 1));
   EXPECT_TRUE(mgr.worker_mm(1).page_table().IsMapped(mgr.WindowOf(id)));
 }
 
 TEST_F(ShStateTest, SameHomeTransferIsMetadataOnly) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   // Workers 0 and 2 share pool home 0 (2 pool nodes).
   auto op = mgr.Transfer(id, 0, 2, SimTime::Zero());
@@ -172,7 +175,7 @@ TEST_F(ShStateTest, SameHomeTransferIsMetadataOnly) {
 }
 
 TEST_F(ShStateTest, CrossHomeTransferMigratesPoolToPool) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   auto meta = mgr.Transfer(id, 0, 2, SimTime::Zero());
   ASSERT_TRUE(meta.ok());
@@ -186,7 +189,7 @@ TEST_F(ShStateTest, CrossHomeTransferMigratesPoolToPool) {
 }
 
 TEST_F(ShStateTest, TransferRequiresOwnership) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   auto op = mgr.Transfer(id, 1, 2, SimTime::Zero());
   EXPECT_FALSE(op.ok());
@@ -194,36 +197,36 @@ TEST_F(ShStateTest, TransferRequiresOwnership) {
 }
 
 TEST_F(ShStateTest, LeaseExpiryUnmapsIdleReader) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 3, SimTime::Zero()).ok());
   EXPECT_EQ(mgr.lease_grants(), 1u);
-  mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(11));
+  clock_.RunUntil(SimTime::Zero() + SimDuration::Seconds(11));
   EXPECT_EQ(mgr.leases_expired(), 1u);
   EXPECT_FALSE(mgr.ReaderMapped(id, 3));
   EXPECT_FALSE(mgr.worker_mm(3).page_table().IsMapped(mgr.WindowOf(id)));
 }
 
 TEST_F(ShStateTest, ReadRenewsLeaseAcrossTheOriginalWindow) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 3, SimTime::Zero()).ok());
   // Renew at t=8s; the original grant's expiry event at t=10s must see the
   // pushed-out deadline and keep the mapping.
   const SimTime renew = SimTime::Zero() + SimDuration::Seconds(8);
-  mgr.clock().RunUntil(renew);
+  clock_.RunUntil(renew);
   ASSERT_TRUE(mgr.ReadRegion(id, 3, renew).ok());
-  mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(11));
+  clock_.RunUntil(SimTime::Zero() + SimDuration::Seconds(11));
   EXPECT_EQ(mgr.leases_expired(), 0u);
   EXPECT_TRUE(mgr.ReaderMapped(id, 3));
   // ...and the renewed window itself expires once left idle.
-  mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(30));
+  clock_.RunUntil(SimTime::Zero() + SimDuration::Seconds(30));
   EXPECT_EQ(mgr.leases_expired(), 1u);
   EXPECT_FALSE(mgr.ReaderMapped(id, 3));
 }
 
 TEST_F(ShStateTest, CrashVacatesOwnershipAndRecoveryReacquires) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.WriteRegion(id, 0, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
@@ -243,19 +246,19 @@ TEST_F(ShStateTest, CrashVacatesOwnershipAndRecoveryReacquires) {
 }
 
 TEST_F(ShStateTest, CrashedReaderLosesItsLease) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   mgr.ReleaseWorker(1);
   EXPECT_FALSE(mgr.ReaderMapped(id, 1));
   EXPECT_FALSE(mgr.worker_mm(1).page_table().IsMapped(mgr.WindowOf(id)));
   // The stale expiry event finds the reader gone and does nothing.
-  mgr.clock().RunUntilIdle();
+  clock_.RunUntilIdle();
   EXPECT_EQ(mgr.leases_expired(), 0u);
 }
 
 TEST_F(ShStateTest, DestroyFreesPoolPagesAndUnmapsEverything) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
   const uint64_t before = cxl_.used_bytes();
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
