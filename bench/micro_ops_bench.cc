@@ -17,8 +17,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/rng.h"
 #include "src/criu/deduplicator.h"
 #include "src/criu/checkpointer.h"
+#include "src/mempool/block_allocator.h"
 #include "src/mempool/cxl_pool.h"
 #include "src/mempool/rdma_pool.h"
 #include "src/mmtemplate/api.h"
@@ -270,6 +272,64 @@ void BM_KeepAliveChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_KeepAliveChurn);
+
+// Arrival-side expiry check at density scale: 16k parked envs over 8192
+// functions, none due. Every arrival and completion runs this; with the
+// expiry index it reads the heap top instead of scanning the pool.
+void BM_KeepAliveExpire16k(benchmark::State& state) {
+  KeepAlivePool pool(SimDuration::Minutes(10), [](std::unique_ptr<FunctionInstance>) {});
+  SimTime now;
+  for (int i = 0; i < 16384; ++i) {
+    pool.Put(std::make_unique<FunctionInstance>("fn-" + std::to_string(i % 8192), nullptr),
+             now);
+    now = now + SimDuration::Millis(1);
+  }
+  size_t evicted = 0;
+  for (auto _ : state) {
+    evicted += pool.ExpireStale(now);
+  }
+  benchmark::DoNotOptimize(evicted);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KeepAliveExpire16k);
+
+// Fail-heavy first fit over ~8k free extents: one request larger than every
+// free extent (fails), then one that only the free tail can serve, freed
+// again so the layout is the same every iteration.
+void BM_BlockAllocatorFragmented(benchmark::State& state) {
+  constexpr uint64_t kHoles = 8192;
+  BlockAllocator allocator(kHoles * 4 + 4096);
+  std::vector<PoolOffset> blocks;
+  for (uint64_t i = 0; i < 2 * kHoles; ++i) {
+    blocks.push_back(*allocator.Allocate(2));
+  }
+  for (uint64_t i = 0; i < blocks.size(); i += 2) {
+    (void)allocator.Free(blocks[i], 2);  // 2-page holes; the 4096-page tail stays free
+  }
+  uint64_t failures = 0;
+  for (auto _ : state) {
+    failures += allocator.Allocate(8192).ok() ? 0 : 1;
+    const Result<PoolOffset> tail = allocator.Allocate(1024);
+    (void)allocator.Free(*tail, 1024);
+  }
+  benchmark::DoNotOptimize(failures);
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_BlockAllocatorFragmented);
+
+// One Zipf function pick over an 8192-function catalog at skew 0.3
+// (peak_density's defaults), drawn from a table built once.
+void BM_ZipfDraw8192(benchmark::State& state) {
+  const ZipfCdf zipf(8192, 0.3);
+  Rng rng(42);
+  uint64_t sum = 0;
+  for (auto _ : state) {
+    sum += rng.NextZipf(zipf);
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfDraw8192);
 
 void BM_SnapshotDedupIngest(benchmark::State& state) {
   Checkpointer checkpointer;

@@ -29,9 +29,9 @@
 //   * byte-identical output at any --jobs.
 //
 // Flags (beyond the shared --jobs/--trace-out/--metrics-out):
-//   --functions=N     synthetic catalog size (default 1024)
+//   --functions=N     synthetic catalog size (default 8192)
 //   --minutes=M       trace duration (default 30)
-//   --peak-rate=R     diurnal peak arrivals/s (default 24)
+//   --peak-rate=R     diurnal peak arrivals/s (default 8)
 //   --slo-ms=S        warm-attach p99 SLO (default 15)
 //   --overcommit=F    parked-footprint ceiling as a multiple of the cap
 //   --bench-json=PATH append a JSON-lines record to the BENCH trajectory

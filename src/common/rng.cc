@@ -1,5 +1,6 @@
 #include "src/common/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -95,27 +96,27 @@ double Rng::NextPareto(double x_min, double alpha) {
   return x_min / std::pow(u, 1.0 / alpha);
 }
 
-uint64_t Rng::NextZipf(uint64_t n, double s) {
-  assert(n > 0);
+ZipfCdf::ZipfCdf(uint64_t n, double s) : n_(n), s_(s) {
   if (s <= 0) {
-    return NextBounded(n);
+    return;
   }
-  // Inverse-CDF over precomputation-free approximation: sample by rejection on
-  // the continuous bounding distribution. For the modest n used in workloads
-  // (tens to hundreds of functions) a simple linear CDF walk is fine.
-  double norm = 0;
-  for (uint64_t i = 1; i <= n; ++i) {
-    norm += 1.0 / std::pow(static_cast<double>(i), s);
-  }
-  double target = NextDouble() * norm;
+  cumulative_.reserve(n);
   double acc = 0;
   for (uint64_t i = 1; i <= n; ++i) {
     acc += 1.0 / std::pow(static_cast<double>(i), s);
-    if (acc >= target) {
-      return i - 1;
-    }
+    cumulative_.push_back(acc);
   }
-  return n - 1;
+}
+
+uint64_t Rng::NextZipf(const ZipfCdf& cdf) {
+  assert(cdf.n_ > 0);
+  if (cdf.s_ <= 0) {
+    return NextBounded(cdf.n_);
+  }
+  const double target = NextDouble() * cdf.cumulative_.back();
+  const auto it = std::lower_bound(cdf.cumulative_.begin(), cdf.cumulative_.end(), target);
+  return it == cdf.cumulative_.end() ? cdf.n_ - 1
+                                     : static_cast<uint64_t>(it - cdf.cumulative_.begin());
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }

@@ -10,6 +10,22 @@
 
 namespace trenv {
 
+// Cumulative Zipf weights over ranks 1..n with skew s, built once (O(n) pow
+// calls) and shared by every draw; Rng::NextZipf binary-searches it. The sum
+// runs in rank order, so draws are bit-identical to a linear CDF walk that
+// recomputes the weights per draw. s <= 0 is uniform and needs no table.
+class ZipfCdf {
+ public:
+  ZipfCdf(uint64_t n, double s);
+
+ private:
+  friend class Rng;
+
+  uint64_t n_;
+  double s_;
+  std::vector<double> cumulative_;  // cumulative_[i] = sum of 1/(k^s), k = 1..i+1
+};
+
 // xoshiro256** with a SplitMix64 seeder. Small, fast, and good enough
 // statistical quality for workload generation.
 class Rng {
@@ -34,8 +50,10 @@ class Rng {
   double NextLogNormal(double mu, double sigma);
   // Pareto with scale x_m and shape alpha; models heavy-tailed bursts.
   double NextPareto(double x_min, double alpha);
-  // Zipf-like rank selection over n items with skew s (s=0 => uniform).
-  uint64_t NextZipf(uint64_t n, double s);
+  // Zipf rank selection in [0, n) over the table's n ranks (skew 0 =>
+  // uniform). One uniform draw, scaled by the total weight, picks the first
+  // rank whose cumulative weight reaches it: O(log n) per draw.
+  uint64_t NextZipf(const ZipfCdf& cdf);
 
   // Derives an independent child generator; convenient for fan-out.
   Rng Fork();

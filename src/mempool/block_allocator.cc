@@ -8,6 +8,7 @@ namespace trenv {
 BlockAllocator::BlockAllocator(uint64_t total_pages) : total_pages_(total_pages) {
   if (total_pages > 0) {
     free_list_.push_back(Extent{0, total_pages});
+    block_max_.push_back(total_pages);
   }
 }
 
@@ -18,20 +19,50 @@ size_t BlockAllocator::LowerBound(PoolOffset base) const {
       free_list_.begin());
 }
 
+void BlockAllocator::RefreshBlock(size_t index) {
+  const size_t block = index / kSummaryBlock;
+  const size_t end = std::min(free_list_.size(), (block + 1) * kSummaryBlock);
+  uint64_t longest = 0;
+  for (size_t i = block * kSummaryBlock; i < end; ++i) {
+    longest = std::max(longest, free_list_[i].len);
+  }
+  block_max_[block] = longest;
+}
+
+void BlockAllocator::RebuildSummaryFrom(size_t index) {
+  block_max_.resize((free_list_.size() + kSummaryBlock - 1) / kSummaryBlock);
+  for (size_t start = index / kSummaryBlock * kSummaryBlock; start < free_list_.size();
+       start += kSummaryBlock) {
+    RefreshBlock(start);
+  }
+}
+
 Result<PoolOffset> BlockAllocator::Allocate(uint64_t n) {
   if (n == 0) {
     return Status::InvalidArgument("zero-page allocation");
   }
-  for (size_t i = 0; i < free_list_.size(); ++i) {
-    Extent& extent = free_list_[i];
-    if (extent.len >= n) {
+  for (size_t block = 0; block < block_max_.size(); ++block) {
+    if (block_max_[block] < n) {
+      continue;
+    }
+    // The block holds a fit; its first fit is the leftmost one overall.
+    for (size_t i = block * kSummaryBlock;; ++i) {
+      assert(i < free_list_.size());
+      Extent& extent = free_list_[i];
+      if (extent.len < n) {
+        continue;
+      }
       const PoolOffset base = extent.base;
+      const bool was_longest = extent.len == block_max_[block];
       // First fit: carve from the front of the extent. Shrinking in place
       // keeps the list sorted with no erase + reinsert.
       extent.base += n;
       extent.len -= n;
       if (extent.len == 0) {
         free_list_.erase(free_list_.begin() + static_cast<ptrdiff_t>(i));
+        RebuildSummaryFrom(i);
+      } else if (was_longest) {
+        RefreshBlock(i);
       }
       used_pages_ += n;
       return base;
@@ -57,24 +88,33 @@ Status BlockAllocator::Free(PoolOffset base, uint64_t n) {
 
   const bool merge_prev = i > 0 && free_list_[i - 1].base + free_list_[i - 1].len == base;
   const bool merge_next = i < free_list_.size() && base + n == free_list_[i].base;
+  // A merge only grows an extent, so its block maximum can only rise.
+  const auto grew = [this](size_t index) {
+    uint64_t& longest = block_max_[index / kSummaryBlock];
+    longest = std::max(longest, free_list_[index].len);
+  };
   if (merge_prev && merge_next) {
     free_list_[i - 1].len += n + free_list_[i].len;
     free_list_.erase(free_list_.begin() + static_cast<ptrdiff_t>(i));
+    RebuildSummaryFrom(i - 1);
   } else if (merge_prev) {
     free_list_[i - 1].len += n;
+    grew(i - 1);
   } else if (merge_next) {
     free_list_[i].base = base;
     free_list_[i].len += n;
+    grew(i);
   } else {
     free_list_.insert(free_list_.begin() + static_cast<ptrdiff_t>(i), Extent{base, n});
+    RebuildSummaryFrom(i);
   }
   return Status::Ok();
 }
 
 uint64_t BlockAllocator::LargestFreeExtent() const {
   uint64_t largest = 0;
-  for (const Extent& extent : free_list_) {
-    largest = std::max(largest, extent.len);
+  for (const uint64_t longest : block_max_) {
+    largest = std::max(largest, longest);
   }
   return largest;
 }

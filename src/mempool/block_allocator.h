@@ -1,14 +1,20 @@
 // First-fit page-granular block allocator with free-list coalescing.
 // Manages the address space of a memory pool; consolidated snapshot images
-// are placed through this allocator.
+// and density-tier swap blocks are placed through this allocator.
 //
-// The free list is a sorted vector of extents rather than a node-based map:
-// Allocate shrinks the chosen extent in place (no erase + reinsert), and
-// Free either extends a neighboring extent in place or inserts one record.
-// The keep-alive churn pattern — free a block, reallocate the same size —
-// therefore runs allocation-free at steady state. Placement decisions are
-// bit-identical to the original std::map free list (first fit from the
-// lowest base; pinned by tests/flat_store_equivalence_test.cc).
+// The free list is a sorted vector of extents: Allocate shrinks the chosen
+// extent in place, and Free either extends a neighboring extent in place or
+// inserts one record, so the free-a-block / reallocate-the-same-size churn of
+// keep-alive runs allocation-free at steady state.
+//
+// A summary keeps first fit sublinear: the vector is cut into fixed blocks of
+// kSummaryBlock extents, and block_max_ holds each block's longest extent.
+// Allocate skips every block whose maximum is below the request and scans
+// extents only inside the first block that can serve it, so the offset is
+// still exactly the leftmost fit, and a request nothing can serve fails after
+// reading only the block maxima. Placement decisions are bit-identical to
+// the original std::map free list (pinned by
+// tests/flat_store_equivalence_test.cc).
 #ifndef TRENV_MEMPOOL_BLOCK_ALLOCATOR_H_
 #define TRENV_MEMPOOL_BLOCK_ALLOCATOR_H_
 
@@ -52,13 +58,24 @@ class BlockAllocator {
     uint64_t len;
   };
 
+  // Extents per summary block.
+  static constexpr size_t kSummaryBlock = 64;
+
   // Index of the first free extent with base >= `base`.
   size_t LowerBound(PoolOffset base) const;
+  // Recomputes the maximum of the block holding extent `index`.
+  void RefreshBlock(size_t index);
+  // Resizes the summary to the extent count and recomputes every block from
+  // the one holding extent `index` onward (after an insert or erase there
+  // shifted the extents behind it).
+  void RebuildSummaryFrom(size_t index);
 
   uint64_t total_pages_;
   uint64_t used_pages_ = 0;
   // Free extents sorted by base, pairwise disjoint and non-adjacent.
   std::vector<Extent> free_list_;
+  // block_max_[b] = longest extent among free_list_[b * kSummaryBlock, ...).
+  std::vector<uint64_t> block_max_;
 };
 
 }  // namespace trenv

@@ -1,5 +1,6 @@
 #include "src/platform/keep_alive_pool.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace trenv {
@@ -14,7 +15,71 @@ uint32_t KeepAlivePool::AcquireSlot() {
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
+void KeepAlivePool::HeapPlace(uint32_t pos, Expiry entry) {
+  expiry_heap_[pos] = entry;
+  slots_[entry.slot].heap_pos = pos;
+}
+
+void KeepAlivePool::HeapSiftUp(uint32_t pos) {
+  const Expiry entry = expiry_heap_[pos];
+  while (pos > 0) {
+    const uint32_t parent = (pos - 1) / kHeapArity;
+    if (!(entry.at < expiry_heap_[parent].at)) {
+      break;
+    }
+    HeapPlace(pos, expiry_heap_[parent]);
+    pos = parent;
+  }
+  HeapPlace(pos, entry);
+}
+
+void KeepAlivePool::HeapSiftDown(uint32_t pos) {
+  const Expiry entry = expiry_heap_[pos];
+  const uint32_t n = static_cast<uint32_t>(expiry_heap_.size());
+  while (true) {
+    const uint32_t first = kHeapArity * pos + 1;
+    if (first >= n) {
+      break;
+    }
+    uint32_t child = first;
+    for (uint32_t c = first + 1; c < std::min(first + kHeapArity, n); ++c) {
+      if (expiry_heap_[c].at < expiry_heap_[child].at) {
+        child = c;
+      }
+    }
+    if (!(expiry_heap_[child].at < entry.at)) {
+      break;
+    }
+    HeapPlace(pos, expiry_heap_[child]);
+    pos = child;
+  }
+  HeapPlace(pos, entry);
+}
+
+void KeepAlivePool::HeapPush(SimTime at, uint32_t slot) {
+  expiry_heap_.push_back(Expiry{at, slot});
+  HeapSiftUp(static_cast<uint32_t>(expiry_heap_.size() - 1));
+}
+
+void KeepAlivePool::HeapErase(uint32_t slot) {
+  const uint32_t pos = slots_[slot].heap_pos;
+  assert(pos < expiry_heap_.size() && expiry_heap_[pos].slot == slot);
+  const Expiry last = expiry_heap_.back();
+  expiry_heap_.pop_back();
+  slots_[slot].heap_pos = kNil;
+  if (pos == expiry_heap_.size()) {
+    return;  // `slot` was the last entry
+  }
+  HeapPlace(pos, last);
+  if (pos > 0 && last.at < expiry_heap_[(pos - 1) / kHeapArity].at) {
+    HeapSiftUp(pos);
+  } else {
+    HeapSiftDown(pos);
+  }
+}
+
 std::unique_ptr<FunctionInstance> KeepAlivePool::Detach(uint32_t slot) {
+  HeapErase(slot);
   Slot& s = slots_[slot];
   // Global LRU list.
   if (s.lru_prev != kNil) {
@@ -71,8 +136,9 @@ void KeepAlivePool::Put(std::unique_ptr<FunctionInstance> instance, SimTime now,
     peak_footprint_bytes_ = footprint_bytes_;
   }
   s.instance = std::move(instance);
-  s.expiry = now + ttl;
+  s.park_seq = next_park_seq_++;
   s.function = function;
+  HeapPush(now + ttl, slot);
   // Link at the global MRU position.
   s.lru_prev = lru_tail_;
   s.lru_next = kNil;
@@ -182,17 +248,35 @@ void KeepAlivePool::UnlinkTier(uint32_t slot) {
 }
 
 size_t KeepAlivePool::ExpireStale(SimTime now) {
-  // Per-entry TTLs make expiry non-monotone in LRU order: scan the list.
-  size_t evicted = 0;
-  for (uint32_t slot = lru_head_; slot != kNil;) {
-    const uint32_t next = slots_[slot].lru_next;
-    if (slots_[slot].expiry <= now) {
-      evict_(Detach(slot));
-      ++evicted;
-    }
-    slot = next;
+  if (expiry_heap_.empty() || expiry_heap_[0].at > now) {
+    return 0;
   }
-  return evicted;
+  // Collect every due entry. A heap node that is not due roots a subtree
+  // with nothing due, so the walk visits only the due entries and their
+  // children. expired_ doubles as the BFS queue of heap positions.
+  expired_.clear();
+  expired_.push_back(0);
+  const size_t n = expiry_heap_.size();
+  for (size_t i = 0; i < expired_.size(); ++i) {
+    const size_t pos = expired_[i];
+    const size_t first = kHeapArity * pos + 1;
+    for (size_t child = first; child < std::min(first + kHeapArity, n); ++child) {
+      if (expiry_heap_[child].at <= now) {
+        expired_.push_back(static_cast<uint32_t>(child));
+      }
+    }
+  }
+  for (uint32_t& entry : expired_) {
+    entry = expiry_heap_[entry].slot;
+  }
+  // LRU order is park order (only Put links at the MRU end).
+  std::sort(expired_.begin(), expired_.end(), [this](uint32_t a, uint32_t b) {
+    return slots_[a].park_seq < slots_[b].park_seq;
+  });
+  for (const uint32_t slot : expired_) {
+    evict_(Detach(slot));
+  }
+  return expired_.size();
 }
 
 void KeepAlivePool::EvictAll() {
@@ -204,6 +288,7 @@ void KeepAlivePool::Drop() {
   slots_.clear();
   free_slots_.clear();
   by_function_.clear();
+  expiry_heap_.clear();
   lru_head_ = kNil;
   lru_tail_ = kNil;
   for (size_t i = 0; i < kDensityTierCount; ++i) {

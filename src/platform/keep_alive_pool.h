@@ -3,12 +3,19 @@
 // scheduling policy all evaluated systems share (paper section 9.1).
 //
 // Storage is a slot arena: entries live in a vector of slots threaded onto
-// two intrusive doubly-linked lists (the global LRU order and the per-
-// function list, bucketed by interned FunctionId). Park/take/evict are all
-// pointer-free index relinks, so keep-alive churn — every completed
-// invocation parks here, every warm hit takes from here — performs no node
-// allocations and no string hashing. Eviction and expiry order are identical
-// to the original std::list + std::map implementation.
+// intrusive doubly-linked lists (the global LRU order, the per-function list
+// bucketed by interned FunctionId, and the per-density-tier list). Park, take
+// and evict are index relinks, so keep-alive churn performs no node
+// allocations and no string hashing.
+//
+// Expiry is indexed: an indexed 4-ary min-heap of (expiry, slot) entries
+// holds exactly the parked slots, and each slot records its heap position so
+// any removal (take, evict, expiry) deletes its entry in O(log n).
+// ExpireStale therefore costs O(1) when nothing is due and O(k log n) for k
+// expired entries, whatever the number parked. Expired entries are evicted in
+// LRU order: only Put links at the MRU end, so LRU order is park order, and
+// sorting the expired set by park sequence gives exactly the callback order
+// of a front-to-back scan of the LRU list.
 #ifndef TRENV_PLATFORM_KEEP_ALIVE_POOL_H_
 #define TRENV_PLATFORM_KEEP_ALIVE_POOL_H_
 
@@ -48,7 +55,8 @@ class KeepAlivePool {
   // surplus cap trims with this so the victim is always the entry that
   // function would reuse last.
   bool EvictFnLru(FunctionId function);
-  // Evicts every instance idle since before `now - ttl`.
+  // Evicts every instance whose expiry (park time + its TTL) is at or before
+  // `now`, in LRU order. Returns the number evicted.
   size_t ExpireStale(SimTime now);
   void EvictAll();
   // Discards every parked instance WITHOUT running the evict callback: the
@@ -68,6 +76,8 @@ class KeepAlivePool {
   uint64_t warm_misses() const { return warm_misses_; }
 
   SimDuration ttl() const { return ttl_; }
+  // Entries in the expiry index; always equal to size().
+  size_t expiry_index_size() const { return expiry_heap_.size(); }
 
   // --- Density-tier aggregates ---------------------------------------------
   // Maintained from each instance's density_tier/footprint_bytes at Put time
@@ -131,7 +141,10 @@ class KeepAlivePool {
 
   struct Slot {
     std::unique_ptr<FunctionInstance> instance;
-    SimTime expiry;
+    // Monotone park counter: the entry's LRU rank.
+    uint64_t park_seq = 0;
+    // Position of this slot in expiry_heap_ (kNil while free).
+    uint32_t heap_pos = kNil;
     FunctionId function = kInvalidFunctionId;
     // Mirrors instance->density_tier / footprint_bytes so Detach can adjust
     // the aggregates without touching the (possibly moved-out) instance.
@@ -147,6 +160,11 @@ class KeepAlivePool {
     uint32_t tier_prev = kNil;
     uint32_t tier_next = kNil;
   };
+  // Expiry index entry; the key is stored inline so sifts stay in the heap.
+  struct Expiry {
+    SimTime at;
+    uint32_t slot;
+  };
   struct FnList {
     uint32_t head = kNil;
     uint32_t tail = kNil;
@@ -158,15 +176,27 @@ class KeepAlivePool {
   // maintenance only; tier aggregates are the caller's job).
   void LinkTier(uint32_t slot);
   void UnlinkTier(uint32_t slot);
-  // Unlinks `slot` from both lists and pushes it onto the free list;
-  // returns its instance.
+  // Unlinks `slot` from every list and the expiry index, and pushes it onto
+  // the free list; returns its instance.
   std::unique_ptr<FunctionInstance> Detach(uint32_t slot);
+  // Expiry index maintenance (min-heap on the expiry instant). Four children
+  // per node halve the depth of a binary heap, and siblings' keys sit in 64
+  // contiguous bytes.
+  static constexpr uint32_t kHeapArity = 4;
+  void HeapPlace(uint32_t pos, Expiry entry);
+  void HeapSiftUp(uint32_t pos);
+  void HeapSiftDown(uint32_t pos);
+  void HeapPush(SimTime at, uint32_t slot);
+  void HeapErase(uint32_t slot);
 
   SimDuration ttl_;
   EvictFn evict_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   std::vector<FnList> by_function_;  // indexed by FunctionId; may be sparse
+  std::vector<Expiry> expiry_heap_;  // min-heap on Expiry::at
+  std::vector<uint32_t> expired_;    // ExpireStale scratch, reused across calls
+  uint64_t next_park_seq_ = 0;
   uint32_t lru_head_ = kNil;
   uint32_t lru_tail_ = kNil;
   uint32_t tier_head_[kDensityTierCount] = {kNil, kNil, kNil};

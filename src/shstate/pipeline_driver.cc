@@ -264,6 +264,13 @@ Status PipelineDriver::Run(const PipelineSpec& spec,
           break;
       }
     }
+    if (actions_.empty() && stats_.jobs_completed == stats_.jobs &&
+        cluster_->pool_control() != nullptr) {
+      // Nothing left to launch or apply: stop poolctl's periodic heartbeat
+      // and rebalance ticks, as DrainAll does, or they would re-arm forever
+      // and the loop below would never run out of events.
+      cluster_->pool_control()->Quiesce();
+    }
     std::optional<SimTime> next = cluster_->NextEventTime();
     if (!actions_.empty()) {
       const SimTime at = actions_.top().when;

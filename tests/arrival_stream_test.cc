@@ -20,29 +20,34 @@ namespace {
 const std::vector<uint64_t> kSeeds = {1, 7, 42, 1234, 987654321};
 const std::vector<std::string> kFns = {"JS", "DH", "IR", "CR", "PR"};
 
-// The pre-stream MakePoissonWorkload loop, verbatim.
+// The pre-stream MakePoissonWorkload loop, verbatim except that the Zipf
+// table is built once up front (draws are bit-identical to the per-draw walk;
+// RngTest.ZipfTableMatchesLinearWalk pins that).
 Schedule ReferencePoisson(const std::vector<std::string>& functions, double rate_per_sec,
                           SimDuration duration, double function_skew, Rng& rng) {
   Schedule schedule;
   if (functions.empty() || rate_per_sec <= 0) {
     return schedule;
   }
+  const ZipfCdf zipf(functions.size(), function_skew);
   double t = rng.NextExponential(1.0 / rate_per_sec);
   while (t < duration.seconds()) {
-    const uint64_t pick = rng.NextZipf(functions.size(), function_skew);
+    const uint64_t pick = rng.NextZipf(zipf);
     schedule.push_back({SimTime::Zero() + SimDuration::FromSecondsF(t), functions[pick]});
     t += rng.NextExponential(1.0 / rate_per_sec);
   }
   return schedule;
 }
 
-// The pre-stream MakeDiurnalWorkload loop, verbatim.
+// The pre-stream MakeDiurnalWorkload loop, verbatim except for the hoisted
+// Zipf table (as in ReferencePoisson).
 Schedule ReferenceDiurnal(const std::vector<std::string>& functions,
                           const DiurnalOptions& options, Rng& rng) {
   Schedule schedule;
   if (functions.empty()) {
     return schedule;
   }
+  const ZipfCdf zipf(functions.size(), options.function_skew);
   const double duration_s = options.duration.seconds();
   double t = 0;
   while (t < duration_s) {
@@ -56,8 +61,7 @@ Schedule ReferenceDiurnal(const std::vector<std::string>& functions,
     }
     const uint64_t rotation = static_cast<uint64_t>(
         options.cycles * t / duration_s * static_cast<double>(functions.size()));
-    const uint64_t pick = (rng.NextZipf(functions.size(), options.function_skew) + rotation) %
-                          functions.size();
+    const uint64_t pick = (rng.NextZipf(zipf) + rotation) % functions.size();
     schedule.push_back({SimTime::Zero() + SimDuration::FromSecondsF(t), functions[pick]});
     if (rng.NextBool(options.clump_probability)) {
       for (uint32_t k = 0; k < options.clump_size; ++k) {

@@ -1,6 +1,7 @@
-// Test-only reference implementations of the hot-path run stores, preserved
-// verbatim (modulo naming and dump accessors) from the original std::map
-// code that shipped before the sorted-vector rewrite. The equivalence test
+// Test-only reference implementations of the hot-path stores: the original
+// std::map run stores and first-fit allocator (verbatim modulo naming and
+// dump accessors) from before the sorted-vector rewrite, and a linear-scan
+// keep-alive pool from before the expiry index. The equivalence test
 // (flat_store_equivalence_test.cc) drives randomized operation sequences
 // through both a reference store and its production counterpart and asserts
 // the externally observable state — run boundaries, per-field values,
@@ -9,15 +10,20 @@
 #ifndef TRENV_TESTS_REFERENCE_STORES_H_
 #define TRENV_TESTS_REFERENCE_STORES_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/time.h"
+#include "src/criu/restore_engine.h"
 #include "src/simkernel/page_table.h"
 #include "src/simkernel/types.h"
 
@@ -380,6 +386,179 @@ class RefBlockAllocator {
   uint64_t total_pages_;
   uint64_t used_pages_ = 0;
   std::map<PoolOffset, uint64_t> free_list_;
+};
+
+// The linear-scan keep-alive pool: one std::list in LRU order (front = LRU)
+// and a scan for every query. ExpireStale walks the whole list front to back,
+// as the production pool did before its expiry index; the per-tier lists are
+// modelled by a stamp taken when an entry is parked or retiered.
+class RefKeepAlivePool {
+ public:
+  using EvictFn = std::function<void(std::unique_ptr<FunctionInstance>)>;
+
+  RefKeepAlivePool(SimDuration ttl, EvictFn evict) : ttl_(ttl), evict_(std::move(evict)) {}
+
+  void Put(std::unique_ptr<FunctionInstance> instance, SimTime now) {
+    Put(std::move(instance), now, ttl_);
+  }
+  void Put(std::unique_ptr<FunctionInstance> instance, SimTime now, SimDuration ttl) {
+    instance->last_used = now;
+    Entry entry;
+    entry.function = instance->function_id();
+    entry.tier = instance->density_tier;
+    entry.footprint_bytes = instance->footprint_bytes;
+    entry.expiry = now + ttl;
+    entry.tier_stamp = next_stamp_++;
+    entry.instance = std::move(instance);
+    entries_.push_back(std::move(entry));
+  }
+
+  std::unique_ptr<FunctionInstance> TakeWarm(FunctionId function) {
+    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+      if (it->function == function) {
+        ++warm_hits_;
+        return Remove(std::next(it).base());
+      }
+    }
+    ++warm_misses_;
+    return nullptr;
+  }
+
+  bool EvictLru() {
+    if (entries_.empty()) {
+      return false;
+    }
+    evict_(Remove(entries_.begin()));
+    return true;
+  }
+
+  bool EvictFnLru(FunctionId function) {
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->function == function) {
+        evict_(Remove(it));
+        return true;
+      }
+    }
+    return false;
+  }
+
+  bool EvictHotLru() {
+    auto victim = entries_.end();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->tier == DensityTier::kDramHot &&
+          (victim == entries_.end() || it->tier_stamp < victim->tier_stamp)) {
+        victim = it;
+      }
+    }
+    if (victim == entries_.end()) {
+      return false;
+    }
+    evict_(Remove(victim));
+    return true;
+  }
+
+  // Re-buckets the entry at LRU rank `rank` (0 = coldest).
+  void RetierAt(size_t rank, DensityTier tier, uint64_t footprint_bytes) {
+    Entry& entry = *std::next(entries_.begin(), static_cast<std::ptrdiff_t>(rank));
+    entry.tier = tier;
+    entry.footprint_bytes = footprint_bytes;
+    entry.tier_stamp = next_stamp_++;
+  }
+
+  size_t ExpireStale(SimTime now) {
+    size_t evicted = 0;
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      const auto next = std::next(it);
+      if (it->expiry <= now) {
+        evict_(Remove(it));
+        ++evicted;
+      }
+      it = next;
+    }
+    return evicted;
+  }
+
+  void Drop() { entries_.clear(); }
+
+  size_t size() const { return entries_.size(); }
+  size_t CountFor(FunctionId function) const {
+    size_t count = 0;
+    for (const Entry& entry : entries_) {
+      count += entry.function == function ? 1 : 0;
+    }
+    return count;
+  }
+  size_t CountInTier(DensityTier tier) const {
+    size_t count = 0;
+    for (const Entry& entry : entries_) {
+      count += entry.tier == tier ? 1 : 0;
+    }
+    return count;
+  }
+  uint64_t FootprintInTier(DensityTier tier) const {
+    uint64_t bytes = 0;
+    for (const Entry& entry : entries_) {
+      bytes += entry.tier == tier ? entry.footprint_bytes : 0;
+    }
+    return bytes;
+  }
+  uint64_t footprint_bytes() const {
+    uint64_t bytes = 0;
+    for (const Entry& entry : entries_) {
+      bytes += entry.footprint_bytes;
+    }
+    return bytes;
+  }
+  uint64_t warm_hits() const { return warm_hits_; }
+  uint64_t warm_misses() const { return warm_misses_; }
+
+  // Dump accessor for the equivalence test: the instances in LRU order.
+  std::vector<const FunctionInstance*> DumpLru() const {
+    std::vector<const FunctionInstance*> out;
+    for (const Entry& entry : entries_) {
+      out.push_back(entry.instance.get());
+    }
+    return out;
+  }
+  // The instances of `tier` in tier-list order (coldest first).
+  std::vector<const FunctionInstance*> DumpTier(DensityTier tier) const {
+    std::vector<const Entry*> members;
+    for (const Entry& entry : entries_) {
+      if (entry.tier == tier) {
+        members.push_back(&entry);
+      }
+    }
+    std::sort(members.begin(), members.end(),
+              [](const Entry* a, const Entry* b) { return a->tier_stamp < b->tier_stamp; });
+    std::vector<const FunctionInstance*> out;
+    for (const Entry* entry : members) {
+      out.push_back(entry->instance.get());
+    }
+    return out;
+  }
+
+ private:
+  struct Entry {
+    std::unique_ptr<FunctionInstance> instance;
+    SimTime expiry;
+    FunctionId function = kInvalidFunctionId;
+    DensityTier tier = DensityTier::kDramHot;
+    uint64_t footprint_bytes = 0;
+    uint64_t tier_stamp = 0;  // order of arrival at the current tier
+  };
+
+  std::unique_ptr<FunctionInstance> Remove(std::list<Entry>::iterator it) {
+    std::unique_ptr<FunctionInstance> instance = std::move(it->instance);
+    entries_.erase(it);
+    return instance;
+  }
+
+  SimDuration ttl_;
+  EvictFn evict_;
+  std::list<Entry> entries_;
+  uint64_t next_stamp_ = 0;
+  uint64_t warm_hits_ = 0;
+  uint64_t warm_misses_ = 0;
 };
 
 }  // namespace ref

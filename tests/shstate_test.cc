@@ -376,5 +376,28 @@ TEST(PipelineDriverTest, OwnerCrashRecoversWithZeroLoss) {
   EXPECT_GT(s.ownership_recoveries, 0u);
 }
 
+// Regression: with poolctl on, the driver's loop used to wait for
+// NextEventTime() to run dry while the heartbeat and rebalance ticks re-armed
+// forever, so Run never returned (ctest's TIMEOUT on this binary catches a
+// relapse).
+TEST(PipelineDriverTest, ReturnsWithThePoolControlPlaneOn) {
+  ClusterConfig config;
+  config.nodes = 2;
+  config.shstate.enabled = true;
+  config.poolmgr.enabled = true;
+  config.poolctl.enabled = true;
+  Cluster cluster(config);
+  ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+  ASSERT_NE(cluster.pool_control(), nullptr);
+  PipelineDriver driver(&cluster, {});
+  const PipelineSpec spec = MakeChainPipeline(2, /*payload_pages=*/64, {"JS", "DH"});
+  ASSERT_TRUE(driver.Run(spec, {SimTime::Zero()}).ok());
+  const PipelineRunStats& s = driver.stats();
+  EXPECT_EQ(s.jobs_completed, 1u);
+  EXPECT_EQ(s.stages_completed, 2u);
+  EXPECT_EQ(cluster.accepted_invocations(), 2u);
+  EXPECT_FALSE(cluster.NextEventTime().has_value());
+}
+
 }  // namespace
 }  // namespace trenv
