@@ -134,8 +134,8 @@ PoolRow RunPoolCluster(uint32_t nodes, ClusterConfig::Dispatch dispatch, uint32_
 }
 
 void Run(bench::BenchEnv& env) {
-  // Cluster runs execute sharded when --shards > 1; the report is identical
-  // at any value (zero-lookahead RunSharded == Run).
+  // Cluster runs execute on --shards threads; the report is identical at any
+  // value.
   const uint32_t shards =
       static_cast<uint32_t>(std::atoi(env.ExtraValue("--shards=", "1").c_str()));
   PrintBanner(std::cout, "Ablation: rack-level sharing across nodes (GiB)");

@@ -257,14 +257,11 @@ inline ContainerRunResult RunContainerWorkload(SystemKind kind, const Schedule& 
   return result;
 }
 
-// Runs a materialized schedule on a cluster, sharded when shards > 1. The
-// cluster benches expose this behind a --shards flag: RunSharded with zero
-// lookahead is byte-identical to Run(), so every bench report doubles as a
-// determinism check for the sharded core.
+// Runs a materialized schedule on a cluster across `shards` threads at zero
+// lookahead. The cluster benches expose this behind a --shards flag: the
+// output is byte-identical at any shard count, so every bench report doubles
+// as a determinism check for the sharded core.
 inline Status RunCluster(Cluster& cluster, const Schedule& schedule, uint32_t shards) {
-  if (shards <= 1) {
-    return cluster.Run(schedule);
-  }
   ScheduleStream stream(schedule);
   ShardedRunOptions options;
   options.shards = shards;

@@ -206,7 +206,7 @@ int RunBench(bench::BenchEnv& env, const Scale& scale) {
         return RunSystem(kSystems[i], scale, catalog, schedule);
       });
 
-  Table table({"System", "Peak warm envs", "Warm", "Repurp", "Cold", "Attach p50 ms",
+  Table table({"System", "Peak warm envs", "Warm", "Repurp", "Cold", "Failed", "Attach p50 ms",
                "Attach p99 ms", "Peak mem", "Peak parked fp"});
   for (size_t i = 0; i < std::size(kSystems); ++i) {
     const RunResult& r = sweep[i];
@@ -216,7 +216,7 @@ int RunBench(bench::BenchEnv& env, const Scale& scale) {
     }
     table.AddRow({kSystems[i].label, std::to_string(r.peak_warm_envs),
                   std::to_string(r.warm_starts), std::to_string(r.repurposed_starts),
-                  std::to_string(r.cold_starts),
+                  std::to_string(r.cold_starts), std::to_string(r.failed),
                   Table::Num(r.attach_p50_ms, 3), Table::Num(r.attach_p99_ms, 3),
                   FormatBytes(r.peak_frames_bytes),
                   FormatBytes(r.parked_footprint_bytes)});

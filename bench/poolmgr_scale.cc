@@ -164,9 +164,8 @@ struct SweepPoint {
 };
 
 int RunBench(bench::BenchEnv& env) {
-  // Sharded execution of each run; the report is byte-identical at any value
-  // (zero-lookahead RunSharded == Run), so this doubles as a determinism
-  // check over the sharded core.
+  // Sharded execution of each run; the report is byte-identical at any value,
+  // so this doubles as a determinism check over the sharded core.
   const uint32_t shards =
       static_cast<uint32_t>(std::atoi(env.ExtraValue("--shards=", "1").c_str()));
   std::cout << "=== Pool control plane: nodes x replication x dispatch ===\n";

@@ -242,19 +242,12 @@ Status Cluster::Dispatch(SimTime arrival, const std::string& function,
       platform.tracer()->Annotate(id, "latency_us", attach.latency.nanos() / 1000);
     }
   }
-  if (mailbox_ != nullptr) {
-    // Sharded run: defer the platform submit into the owning shard's mailbox;
-    // it is applied at the start of the next epoch, before any scheduler
-    // drains, so event sequence numbers match an immediate submit. A
-    // rejection surfaces when the mailbox drains (it still aborts the run).
-    mailbox_->cmds.push_back(SubmitCmd{start, static_cast<uint32_t>(node_index), function,
-                                       std::move(options.on_complete)});
-    mailbox_->inboxes[mailbox_->shard_of[node_index]].push_back(mailbox_->cmds.size() - 1);
-    if (!window_dispatches_.empty()) {
-      ++window_dispatches_[node_index];
-    }
-    return Status::Ok();
+  if (!window_dispatches_.empty()) {
+    ++window_dispatches_[node_index];
   }
+  // Every Dispatch runs on the coordinator thread while the shards are
+  // parked, and event sequence numbers are per-node, so an immediate submit
+  // orders events exactly as the stepped public-API loop does.
   const Status status = platform.Submit(start, function, std::move(options.on_complete));
   if (!status.ok()) {
     // Name the rejecting node: "invocation failed" without a culprit is
@@ -378,28 +371,8 @@ void Cluster::ApplyFaultEvent(const FaultInjector::NodeEvent& event) {
 }
 
 Status Cluster::Run(const Schedule& schedule) {
-  // Dispatch decisions use the load at submission time, so interleave:
-  // advance every node up to each arrival before placing it. Node-level
-  // fault events (crashes, restarts, pressure windows) merge into the same
-  // timeline so their ordering against arrivals is exact.
-  const std::vector<FaultInjector::NodeEvent> plan = PlanFaultEvents();
-  size_t next_event = 0;
-  for (const Invocation& invocation : schedule) {
-    while (next_event < plan.size() && plan[next_event].time <= invocation.arrival) {
-      AdvanceClocksTo(plan[next_event].time);
-      ApplyFaultEvent(plan[next_event]);
-      ++next_event;
-    }
-    AdvanceClocksTo(invocation.arrival);
-    TRENV_RETURN_IF_ERROR(Submit(invocation.arrival, invocation.function));
-  }
-  while (next_event < plan.size()) {
-    AdvanceClocksTo(plan[next_event].time);
-    ApplyFaultEvent(plan[next_event]);
-    ++next_event;
-  }
-  DrainAll();
-  return Status::Ok();
+  ScheduleStream stream(schedule);
+  return RunSharded(stream);
 }
 
 bool Cluster::CanShardAcrossThreads() const {
@@ -424,113 +397,55 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   }
   sharded_effective_shards_ = shards;
 
-  // Contiguous node ranges per shard; node -> shard for the mailbox router.
+  // Contiguous node ranges per shard.
   std::vector<std::pair<size_t, size_t>> shard_range(shards);
-  MailboxSink sink;
-  sink.inboxes.resize(shards);
-  sink.shard_of.resize(nodes_.size());
   for (uint32_t s = 0; s < shards; ++s) {
     shard_range[s] = {nodes_.size() * s / shards, nodes_.size() * (s + 1) / shards};
-    for (size_t i = shard_range[s].first; i < shard_range[s].second; ++i) {
-      sink.shard_of[i] = s;
-    }
   }
-  mailbox_ = &sink;
   const bool windowed = options.lookahead > SimDuration::Zero();
   if (windowed) {
     window_dispatches_.assign(nodes_.size(), 0);
   }
-  struct SinkGuard {
+  struct WindowGuard {
     Cluster* cluster;
-    ~SinkGuard() {
-      cluster->mailbox_ = nullptr;
-      cluster->window_dispatches_.clear();
-    }
+    ~WindowGuard() { cluster->window_dispatches_.clear(); }
   } guard{this};
 
   ShardCoordinator coordinator(shards);
 
-  // One epoch: each shard first applies its mailbox (in global push order,
-  // before any drain, so scheduler sequence numbers match an immediate
-  // submit), then drains its nodes in index order up to the target. The
-  // control clock follows on the coordinator thread. Lambdas are built
-  // once; `target` is rebound per epoch.
-  SimTime target;
-  const auto apply_inbox = [&](size_t s) {
-    for (const size_t idx : sink.inboxes[s]) {
-      const SubmitCmd& cmd = sink.cmds[idx];
-      sink.statuses[idx] =
-          nodes_[cmd.node]->platform->Submit(cmd.start, cmd.function, cmd.on_complete);
-    }
+  // One epoch: each shard drains its nodes in index order up to `until`, or
+  // to completion when it is empty. The control clock follows on the
+  // coordinator thread. The lambda is built once; `until` is rebound per
+  // epoch.
+  std::optional<SimTime> until;
+  const std::function<void(size_t)> drain_shard = [&](size_t s) {
+    DrainNodes(shard_range[s].first, shard_range[s].second, until);
   };
-  const std::function<void(size_t)> advance_shard = [&](size_t s) {
-    apply_inbox(s);
-    for (size_t i = shard_range[s].first; i < shard_range[s].second; ++i) {
-      if (injector_ != nullptr) {
-        FocusNode(i);  // injector implies shards == 1: still coordinator-serial
-      }
-      nodes_[i]->platform->scheduler().RunUntil(target);
-    }
-  };
-  const std::function<void(size_t)> finish_shard = [&](size_t s) {
-    apply_inbox(s);
-    for (size_t i = shard_range[s].first; i < shard_range[s].second; ++i) {
-      if (injector_ != nullptr) {
-        FocusNode(i);
-      }
-      nodes_[i]->platform->RunToCompletion();
-    }
-  };
-
-  // Scans mailbox outcomes in global sequence order (the deterministic
-  // (time, shard, seq) drain order), clears the epoch's mailboxes, and
-  // surfaces the first rejection exactly as the sequential Dispatch would.
-  const auto settle_mailbox = [&]() -> Status {
-    Status first = Status::Ok();
-    for (size_t idx = 0; idx < sink.cmds.size(); ++idx) {
-      const Status& status = sink.statuses[idx];
-      if (!status.ok() && first.ok()) {
-        first = Status(status.code(),
-                       "node " + std::to_string(sink.cmds[idx].node) +
-                           " rejected invocation of '" + sink.cmds[idx].function +
-                           "': " + status.message());
-      }
-    }
-    sink.cmds.clear();
-    sink.statuses.clear();
-    for (auto& inbox : sink.inboxes) {
-      inbox.clear();
-    }
-    return first;
-  };
-  const auto epoch_advance = [&](SimTime t) -> Status {
-    target = t;
-    sink.statuses.resize(sink.cmds.size());
-    coordinator.RunEpoch(advance_shard);
-    TRENV_RETURN_IF_ERROR(settle_mailbox());
+  const auto epoch_advance = [&](SimTime t) {
+    until = t;
+    coordinator.RunEpoch(drain_shard);
     control_clock_.RunUntil(t);
     if (windowed) {
       // A sync point refreshes the real load state; the window's provisional
       // placement counts are now visible as concurrent startups.
       std::fill(window_dispatches_.begin(), window_dispatches_.end(), 0u);
     }
-    return Status::Ok();
   };
 
-  // The main loop mirrors Run(): node-level fault events merge into the
-  // arrival timeline at exactly the sequential interleaving.
+  // Node-level fault events (crashes, restarts, pressure windows) merge into
+  // the arrival timeline, so their ordering against arrivals is exact.
   size_t next_event = 0;
   std::optional<Invocation> pending = arrivals.Next();
   while (pending.has_value() || next_event < plan.size()) {
     if (next_event < plan.size() &&
         (!pending.has_value() || plan[next_event].time <= pending->arrival)) {
-      TRENV_RETURN_IF_ERROR(epoch_advance(plan[next_event].time));
+      epoch_advance(plan[next_event].time);
       ApplyFaultEvent(plan[next_event]);
       ++next_event;
       continue;
     }
     const SimTime window_start = pending->arrival;
-    TRENV_RETURN_IF_ERROR(epoch_advance(window_start));
+    epoch_advance(window_start);
     if (!windowed) {
       // Per-arrival epochs: dispatch sees exactly the sequential load state.
       TRENV_RETURN_IF_ERROR(Submit(pending->arrival, pending->function));
@@ -549,13 +464,11 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
     }
   }
 
-  // Final epoch: flush the last window's mailboxes, then drain every node to
-  // completion (nodes diverge in time here, exactly like DrainAll — no
-  // cross-node interaction remains). DrainAll then finds the nodes idle and
-  // drains only the control clock.
-  sink.statuses.resize(sink.cmds.size());
-  coordinator.RunEpoch(finish_shard);
-  TRENV_RETURN_IF_ERROR(settle_mailbox());
+  // Final epoch: drain every node to completion (nodes diverge in time here,
+  // exactly like DrainAll — no cross-node interaction remains). DrainAll then
+  // finds the nodes idle and drains only the control clock.
+  until.reset();
+  coordinator.RunEpoch(drain_shard);
   DrainAll();
   sharded_epochs_ = coordinator.epochs();
   sharded_barrier_wait_ = coordinator.barrier_wait_seconds();
@@ -576,13 +489,21 @@ std::optional<SimTime> Cluster::NextEventTime() {
   return earliest;
 }
 
+void Cluster::DrainNodes(size_t begin, size_t end, std::optional<SimTime> until) {
+  for (size_t i = begin; i < end; ++i) {
+    FocusNode(i);  // an injector implies one shard: still coordinator-serial
+    if (until.has_value()) {
+      nodes_[i]->platform->scheduler().RunUntil(*until);
+    } else {
+      nodes_[i]->platform->RunToCompletion();
+    }
+  }
+}
+
 void Cluster::AdvanceClocksTo(SimTime t) {
   // Dead nodes advance too (their queue is empty; only the clock moves), so
   // a restarted node rejoins at the cluster-wide instant.
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    FocusNode(i);
-    nodes_[i]->platform->scheduler().RunUntil(t);
-  }
+  DrainNodes(0, nodes_.size(), t);
   control_clock_.RunUntil(t);
 }
 
@@ -595,10 +516,7 @@ std::vector<FaultInjector::NodeEvent> Cluster::PlanFaultEvents() {
 }
 
 void Cluster::DrainAll() {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    FocusNode(i);
-    nodes_[i]->platform->RunToCompletion();
-  }
+  DrainNodes(0, nodes_.size(), std::nullopt);
   if (pool_ctl_ != nullptr) {
     // Cancel the periodic ticks (heartbeats, rebalancing) so the drain below
     // terminates. No final converge: replication at trace end is whatever
@@ -621,18 +539,19 @@ uint64_t Cluster::NodeDramBytes() const {
 FunctionMetrics Cluster::AggregateMetrics() const {
   FunctionMetrics total;
   for (const auto& node : nodes_) {
-    FunctionMetrics agg = node->platform->metrics().Aggregate();
-    total.e2e_ms.MergeFrom(agg.e2e_ms);
-    total.startup_ms.MergeFrom(agg.startup_ms);
-    total.exec_ms.MergeFrom(agg.exec_ms);
-    total.invocations += agg.invocations;
-    total.warm_starts += agg.warm_starts;
-    total.repurposed_starts += agg.repurposed_starts;
-    total.cold_starts += agg.cold_starts;
+    total.MergeFrom(node->platform->metrics().Aggregate());
   }
   return total;
 }
 
-uint64_t Cluster::TotalInvocations() const { return AggregateMetrics().invocations; }
+uint64_t Cluster::TotalInvocations() const {
+  uint64_t total = 0;
+  for (const auto& node : nodes_) {
+    for (const auto& [name, metrics] : node->platform->metrics().per_function()) {
+      total += metrics.invocations;
+    }
+  }
+  return total;
+}
 
 }  // namespace trenv

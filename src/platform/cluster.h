@@ -11,6 +11,7 @@
 #define TRENV_PLATFORM_CLUSTER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,13 +50,13 @@ struct ShardedRunOptions {
   // much of each epoch's node-drain work runs concurrently.
   uint32_t shards = 1;
   // Conservative-lookahead window. Zero: one synchronization epoch per
-  // arrival, so every dispatch sees exactly the load state the sequential
-  // Run() would see — byte-identical to Run() on the same schedule. Positive:
-  // all arrivals inside one window are dispatched against the load snapshot
-  // taken at the window start (plus a deterministic count of the window's own
-  // placements per node), amortizing the barrier across many arrivals. The
-  // window grid depends only on the trace, never on the shard count, so
-  // output is still independent of --shards.
+  // arrival, so every dispatch sees exactly the load state at its arrival
+  // instant — byte-identical to stepping the rack with AdvanceClocksTo and
+  // Submit. Positive: all arrivals inside one window are dispatched against
+  // the load snapshot taken at the window start (plus a deterministic count
+  // of the window's own placements per node), amortizing the barrier across
+  // many arrivals. The window grid depends only on the trace, never on the
+  // shard count, so output is still independent of --shards.
   SimDuration lookahead;
 };
 
@@ -105,7 +106,7 @@ class Cluster {
   // re-dispatched when a node restarts. Errors name the rejecting node.
   //
   // Submit advances no clock: a caller advances the rack to `arrival` first
-  // (AdvanceClocksTo; Run and RunSharded do it for every arrival), so the
+  // (AdvanceClocksTo; RunSharded does it for every arrival), so the
   // dispatch reads the load and the lease state at that instant.
   [[nodiscard]] Status Submit(SimTime arrival, const std::string& function);
 
@@ -120,17 +121,19 @@ class Cluster {
   };
   [[nodiscard]] Status Submit(SimTime arrival, const std::string& function,
                               SubmitOptions options);
+  // RunSharded over the schedule with the default options (one shard, zero
+  // lookahead).
   [[nodiscard]] Status Run(const Schedule& schedule);
 
-  // Sharded run: the trace pulls lazily from `arrivals` (a 10M-invocation
-  // trace never materializes) and the per-node EventSchedulers advance in
-  // parallel epochs under conservative-lookahead synchronization. Cross-shard
-  // interactions (dispatch, poolmgr attach, failover re-dispatch) stay on the
-  // coordinator thread between epochs, as does the control clock; platform
-  // submits travel through per-shard mailboxes drained in deterministic
-  // global-sequence order at the next epoch. Output is byte-identical at any
-  // `shards` setting, and with lookahead zero it is byte-identical to Run()
-  // on the collected schedule.
+  // The rack's run loop: the trace pulls lazily from `arrivals` (a
+  // 10M-invocation trace never materializes) and the per-node
+  // EventSchedulers advance in parallel epochs under conservative-lookahead
+  // synchronization. Cross-shard interactions (dispatch, poolmgr attach,
+  // platform submit, failover re-dispatch) run on the coordinator thread
+  // between epochs, while every shard is parked, as does the control clock.
+  // Output is byte-identical at any `shards` setting, and with lookahead zero
+  // it equals the stepped PlanFaultEvents/AdvanceClocksTo/ApplyFaultEvent/
+  // Submit/DrainAll loop.
   //
   // Preconditions for cross-thread sharding: no fault injector, no tracer,
   // no prewarm policy, density off, shstate off. When any of those is
@@ -164,7 +167,7 @@ class Cluster {
 
   // --- pipeline-driver hooks -------------------------------------------------
   // An external driver (shstate::PipelineDriver) interleaves its own action
-  // queue with the cluster's timeline through these instead of Run().
+  // queue with the cluster's timeline through these instead of RunSharded.
   //
   // Earliest pending event across the node schedulers and the control clock.
   std::optional<SimTime> NextEventTime();
@@ -173,7 +176,7 @@ class Cluster {
   void AdvanceClocksTo(SimTime t);
   // Node-level fault plan (empty without an injector) and its application,
   // so a driver can merge crash/restart events into its own loop exactly
-  // like Run() does.
+  // like RunSharded does.
   std::vector<FaultInjector::NodeEvent> PlanFaultEvents();
   void ApplyFaultEvent(const FaultInjector::NodeEvent& event);
   // Drains every node scheduler, then stops poolctl's periodic ticks and
@@ -213,32 +216,13 @@ class Cluster {
     CompletionFn on_complete;
   };
 
-  // A platform Submit deferred into a per-shard mailbox: the owning shard
-  // applies it at the start of the next epoch, in global push order, before
-  // draining any scheduler — so event sequence numbers match the sequential
-  // run's exactly.
-  struct SubmitCmd {
-    SimTime start;
-    uint32_t node;
-    std::string function;
-    CompletionFn on_complete;
-  };
-  // Mailbox state live only inside RunSharded; Dispatch routes platform
-  // submits here instead of calling Submit directly when non-null.
-  struct MailboxSink {
-    std::vector<SubmitCmd> cmds;                // global (time, seq) order
-    std::vector<std::vector<size_t>> inboxes;   // per shard: indices into cmds
-    std::vector<Status> statuses;               // indexed like cmds
-    std::vector<uint32_t> shard_of;             // node index -> shard
-  };
-
   bool AnyAlive() const;
   // True when node drains may run on concurrent threads: the injector binds
   // per-node state, the tracer and prewarm policy are cross-node-shared and
   // unsynchronized, and density migration writes the shared pools.
   bool CanShardAcrossThreads() const;
   // Placements already made in the current lookahead window; zero in
-  // per-arrival and legacy modes (window_dispatches_ is empty there).
+  // per-arrival mode and outside RunSharded (window_dispatches_ is empty).
   uint32_t WindowLoad(size_t node) const {
     return window_dispatches_.empty() ? 0u : window_dispatches_[node];
   }
@@ -253,6 +237,10 @@ class Cluster {
   // Points the injector's clock and CXL-port scope at node i before its
   // scheduler is drained (node clocks diverge during DrainAll).
   void FocusNode(size_t i);
+  // Drains nodes [begin, end) in index order: up to `until`, or to
+  // completion when it is empty. The one per-node drain behind
+  // AdvanceClocksTo, DrainAll and RunSharded's shard epochs.
+  void DrainNodes(size_t begin, size_t end, std::optional<SimTime> until);
   void CrashNode(size_t i, SimTime when);
   void RestartNode(size_t i, SimTime when);
 
@@ -278,12 +266,11 @@ class Cluster {
   std::vector<Deferred> deferred_;
   size_t next_node_ = 0;
   uint64_t accepted_ = 0;
-  // Non-null only while RunSharded is on the stack.
-  MailboxSink* mailbox_ = nullptr;
   // Windowed dispatch only: per-node count of placements already made in the
   // current lookahead window, added to the load key so a burst inside one
   // window spreads instead of dog-piling the snapshot's least-loaded node.
-  // Empty in per-arrival and legacy modes (PickNode then reads all zeros).
+  // Empty in per-arrival mode and outside RunSharded (PickNode then reads
+  // all zeros).
   std::vector<uint32_t> window_dispatches_;
   uint32_t sharded_effective_shards_ = 0;
   uint64_t sharded_epochs_ = 0;

@@ -6,10 +6,11 @@ namespace trenv {
 
 namespace {
 // Each worker's shared-region window VMA. Far above the sandbox layouts so
-// tests mixing mms never collide; 4 GiB of window space is plenty for the
-// simulated pipelines.
+// tests mixing mms never collide. Destroyed regions return their window to
+// the allocator, so 4 GiB bounds the live regions, not the total created.
 constexpr Vaddr kWindowVmaStart = 0x7f0000000000ULL;
 constexpr uint64_t kWindowVmaBytes = 4ULL * kGiB;
+constexpr Vpn kWindowBaseVpn = AddrToVpn(kWindowVmaStart);
 // Window data-plane frames are never used (shared mappings stay remote); the
 // allocator only exists to satisfy the fault handler's constructor contract.
 constexpr uint64_t kScratchFrameBytes = 64ULL * kMiB;
@@ -24,7 +25,7 @@ RegionManager::RegionManager(ShStateConfig config, uint32_t workers, TieredPool*
       clock_(clock),
       frames_(kScratchFrameBytes),
       fault_handler_(&frames_, backends, stats),
-      next_window_(AddrToVpn(kWindowVmaStart)) {
+      windows_(AddrToVpn(kWindowVmaBytes)) {
   if (config_.pool_nodes == 0) {
     config_.pool_nodes = 1;
   }
@@ -100,10 +101,6 @@ Result<RegionId> RegionManager::CreateRegion(const std::string& name, uint64_t n
   if (npages == 0 || owner >= mms_.size()) {
     return Status::InvalidArgument("bad region size or owner");
   }
-  const Vpn window_end = next_window_ + npages;
-  if (VpnToAddr(window_end) > kWindowVmaStart + kWindowVmaBytes) {
-    return Status::ResourceExhausted("shared-region window space exhausted");
-  }
   // Hotness 1.0: region bytes are live function state, so they land on the
   // hottest pool tier with space (CXL, falling through to RDMA/NAS).
   TRENV_ASSIGN_OR_RETURN(PoolPlacement placement, pool_->AllocatePages(npages, 1.0));
@@ -113,15 +110,19 @@ Result<RegionId> RegionManager::CreateRegion(const std::string& name, uint64_t n
     (void)st;
     return Status::ResourceExhausted("no remote pool tier has space for the region");
   }
+  Result<PoolOffset> window = windows_.Allocate(npages);
+  if (!window.ok()) {
+    (void)pool_->FreePages(placement);
+    return Status::ResourceExhausted("shared-region window space exhausted");
+  }
   Region region;
   region.name = name;
   region.npages = npages;
   region.placement = placement;
-  region.window = next_window_;
+  region.window = kWindowBaseVpn + *window;
   region.home = HomeOf(owner);
   region.owner = static_cast<int32_t>(owner);
   region.live = true;
-  next_window_ = window_end;
   regions_.push_back(std::move(region));
   MapOwner(regions_.back(), owner);
   Count(regions_counter_);
@@ -344,6 +345,9 @@ Status RegionManager::DestroyRegion(RegionId id) {
   region->readers.clear();
   region->owner = -1;
   region->live = false;
+  // Pending shootdowns skip regions that are not live, so the window is
+  // free to reuse at once.
+  TRENV_RETURN_IF_ERROR(windows_.Free(region->window - kWindowBaseVpn, region->npages));
   return pool_->FreePages(region->placement);
 }
 

@@ -40,6 +40,7 @@
 #include "src/common/histogram.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
+#include "src/mempool/block_allocator.h"
 #include "src/mempool/tiered_pool.h"
 #include "src/obs/registry.h"
 #include "src/sim/event_scheduler.h"
@@ -198,7 +199,9 @@ class RegionManager {
   FrameAllocator frames_;
   FaultHandler fault_handler_;
   std::vector<MmStruct> mms_;
-  Vpn next_window_;
+  // Page offsets within the window VMA, first fit; a destroyed region's
+  // window is reused.
+  BlockAllocator windows_;
 
   std::vector<Region> regions_;
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/platform/cluster.h"
+#include "src/platform/prewarm.h"
 
 namespace trenv {
 namespace {
@@ -114,6 +115,30 @@ TEST(ClusterTest, CrossNodeInstancesShareContent) {
   // Both nodes executed without growing the shared pool (reads direct).
   EXPECT_EQ(cluster.TotalInvocations(), 2u);
   EXPECT_EQ(cluster.AggregateMetrics().e2e_ms.count(), 2u);
+}
+
+TEST(ClusterTest, AggregateMetricsKeepsPrewarmStarts) {
+  // 14 periodic JS arrivals 20 min apart teach the shared policy the period,
+  // so the nodes pre-warm ahead of later arrivals. The rack aggregate must
+  // carry every node's prewarm starts, like each node's own aggregate does.
+  PrewarmPolicy policy;
+  ClusterConfig config;
+  config.nodes = 2;
+  config.node_config.prewarm = &policy;
+  Cluster cluster(config);
+  ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+  Schedule schedule;
+  for (int i = 0; i < 14; ++i) {
+    schedule.push_back({SimTime::Zero() + SimDuration::Minutes(20 * i), "JS"});
+  }
+  ASSERT_TRUE(cluster.Run(schedule).ok());
+  uint64_t per_node = 0;
+  for (size_t i = 0; i < cluster.node_count(); ++i) {
+    per_node += cluster.node(i).metrics().Aggregate().prewarm_starts;
+  }
+  EXPECT_GT(per_node, 0u);
+  EXPECT_EQ(cluster.AggregateMetrics().prewarm_starts, per_node);
+  EXPECT_EQ(cluster.TotalInvocations(), 14u);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Cluster::RunSharded determinism contract: output is byte-identical at any
-// --shards setting, and with zero lookahead byte-identical to the sequential
-// Run(). "Byte-identical" is checked through a fingerprint that serializes
-// every externally observable quantity (per-function histograms at full
-// precision, per-node memory, every registry counter), so any divergence in
-// event ordering, RNG draws, or placement shows up as a string mismatch.
+// --shards setting, and with zero lookahead byte-identical to a loop that
+// steps the rack through its public API. "Byte-identical" is checked through
+// a fingerprint that serializes every externally observable quantity
+// (per-function histograms at full precision, per-node memory, every registry
+// counter), so any divergence in event ordering, RNG draws, or placement
+// shows up as a string mismatch.
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -68,10 +69,33 @@ ClusterConfig BaseConfig() {
   return config;
 }
 
+// The independent reference: advance every clock to each fault event and
+// arrival, apply or submit it, then drain. Built from public calls only, so
+// it shares no loop with RunSharded.
+Status RunStepped(Cluster& cluster, const Schedule& schedule) {
+  const std::vector<FaultInjector::NodeEvent> plan = cluster.PlanFaultEvents();
+  size_t next_event = 0;
+  const auto apply_events_until = [&](SimTime t) {
+    while (next_event < plan.size() && plan[next_event].time <= t) {
+      cluster.AdvanceClocksTo(plan[next_event].time);
+      cluster.ApplyFaultEvent(plan[next_event]);
+      ++next_event;
+    }
+  };
+  for (const Invocation& invocation : schedule) {
+    apply_events_until(invocation.arrival);
+    cluster.AdvanceClocksTo(invocation.arrival);
+    TRENV_RETURN_IF_ERROR(cluster.Submit(invocation.arrival, invocation.function));
+  }
+  apply_events_until(SimTime::Max());
+  cluster.DrainAll();
+  return Status::Ok();
+}
+
 std::string RunLegacy(const ClusterConfig& config, const Schedule& schedule) {
   Cluster cluster(config);
   EXPECT_TRUE(cluster.DeployTable4Functions().ok());
-  EXPECT_TRUE(cluster.Run(schedule).ok());
+  EXPECT_TRUE(RunStepped(cluster, schedule).ok());
   return Fingerprint(cluster);
 }
 
@@ -159,8 +183,8 @@ TEST(ShardedClusterTest, FaultedRunDegradesToOneShardAndMatchesLegacy) {
   const std::string legacy = RunLegacy(config, schedule);
   // The injector binds per-node state, so cross-thread sharding is off: any
   // requested shard count degrades to 1 and the output must still match the
-  // sequential run exactly (crash, failover re-dispatch, and pressure events
-  // flow through the same mailbox epochs).
+  // stepped run exactly (crash, failover re-dispatch, and pressure events
+  // run on the coordinator between the same epochs).
   for (const uint32_t shards : {1u, 4u}) {
     uint32_t effective = 0;
     EXPECT_EQ(legacy, RunShardedOn(config, schedule, shards, SimDuration::Zero(), &effective))
@@ -171,10 +195,10 @@ TEST(ShardedClusterTest, FaultedRunDegradesToOneShardAndMatchesLegacy) {
 
 TEST(ShardedClusterTest, ShStateClockAdvancesAndDrainsLikeRun) {
   // The shared-state plane's events (reader-lease expiries, shootdowns) must
-  // follow the sharded epochs and drain at the end exactly as in Run(): a
-  // reader lease lapsing before the only arrival is unmapped, and no event
-  // is left pending. With poolmgr on, its template lease shares the control
-  // clock and the two runs must still agree.
+  // follow the sharded epochs and drain at the end exactly as in the stepped
+  // loop: a reader lease lapsing before the only arrival is unmapped, and no
+  // event is left pending. With poolmgr on, its template lease shares the
+  // control clock and the two runs must still agree.
   ClusterConfig config;
   config.nodes = 2;
   config.shstate.enabled = true;
@@ -185,7 +209,8 @@ TEST(ShardedClusterTest, ShStateClockAdvancesAndDrainsLikeRun) {
     config.poolmgr.enabled = poolmgr;
     std::vector<std::string> fingerprints;
     for (const bool sharded : {false, true}) {
-      SCOPED_TRACE(std::string(sharded ? "RunSharded" : "Run") + (poolmgr ? " +poolmgr" : ""));
+      SCOPED_TRACE(std::string(sharded ? "RunSharded" : "stepped") +
+                   (poolmgr ? " +poolmgr" : ""));
       Cluster cluster(config);
       ASSERT_TRUE(cluster.DeployTable4Functions().ok());
       RegionManager& sh = *cluster.shared_state();
@@ -198,7 +223,7 @@ TEST(ShardedClusterTest, ShStateClockAdvancesAndDrainsLikeRun) {
         ScheduleStream stream(schedule);
         ASSERT_TRUE(cluster.RunSharded(stream).ok());
       } else {
-        ASSERT_TRUE(cluster.Run(schedule).ok());
+        ASSERT_TRUE(RunStepped(cluster, schedule).ok());
       }
       EXPECT_FALSE(sh.ReaderMapped(id, 1));
       EXPECT_FALSE(cluster.NextEventTime().has_value());

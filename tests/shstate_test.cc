@@ -271,6 +271,35 @@ TEST_F(ShStateTest, DestroyFreesPoolPagesAndUnmapsEverything) {
   EXPECT_FALSE(mgr.WriteRegion(id, 0, SimTime::Zero()).ok());
 }
 
+TEST_F(ShStateTest, DestroyedWindowsAreReused) {
+  // 5,000 regions of 256 pages span 5 GiB of windows, more than the 4 GiB
+  // window VMA; creating and destroying them one at a time must never run
+  // out, because each destroyed window is reused.
+  RegionManager mgr(Config(), 2, &tiered_, &backends_, &clock_, nullptr);
+  for (int i = 0; i < 5000; ++i) {
+    auto id_or = mgr.CreateRegion("r", 256, 0, SimTime::Zero());
+    ASSERT_TRUE(id_or.ok()) << "region " << i << ": " << id_or.status().ToString();
+    ASSERT_TRUE(mgr.DestroyRegion(*id_or).ok());
+  }
+}
+
+TEST_F(ShStateTest, StaleShootdownSparesAReusedWindow) {
+  // Region a's revoked reader has a shootdown pending when a is destroyed;
+  // region b then takes a's window. The stale event must leave b's reader
+  // mapping alone.
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, nullptr);
+  const RegionId a = *mgr.CreateRegion("a", kPages, 0, SimTime::Zero());
+  ASSERT_TRUE(mgr.OpenReader(a, 1, SimTime::Zero()).ok());
+  ASSERT_TRUE(mgr.WriteRegion(a, 0, SimTime::Zero()).ok());  // revokes reader 1
+  ASSERT_TRUE(mgr.DestroyRegion(a).ok());
+  const RegionId b = *mgr.CreateRegion("b", kPages, 0, SimTime::Zero());
+  ASSERT_EQ(mgr.WindowOf(b), mgr.WindowOf(a));
+  ASSERT_TRUE(mgr.OpenReader(b, 1, SimTime::Zero()).ok());
+  clock_.RunUntil(SimTime::Zero() + SimDuration::Seconds(1));
+  EXPECT_TRUE(mgr.ReaderMapped(b, 1));
+  EXPECT_TRUE(mgr.worker_mm(1).page_table().IsMapped(mgr.WindowOf(b)));
+}
+
 // ------------------------------------------------------------ PipelineDriver
 
 PipelineSpec ChainSpec() {
