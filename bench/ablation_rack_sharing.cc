@@ -11,7 +11,6 @@
 // shows how evenly the ring spreads them (primary min..max per pool node)
 // and how much attach traffic each dispatch policy actually pulls.
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <numeric>
 
@@ -59,7 +58,7 @@ Schedule ClusterSchedule(uint32_t nodes) {
   return schedule;
 }
 
-RackRow RunCluster(uint32_t nodes, uint32_t shards) {
+RackRow RunRack(uint32_t nodes) {
   RackRow row;
   ClusterConfig config;
   config.nodes = nodes;
@@ -68,8 +67,7 @@ RackRow RunCluster(uint32_t nodes, uint32_t shards) {
     row.error = status.message();
     return row;
   }
-  if (const Status status = bench::RunCluster(cluster, ClusterSchedule(nodes), shards);
-      !status.ok()) {
+  if (const Status status = cluster.Run(ClusterSchedule(nodes)); !status.ok()) {
     row.error = status.message();
     return row;
   }
@@ -100,7 +98,7 @@ struct PoolRow {
 
 constexpr double kPagesPerMiB = 256.0;  // 4 KiB pages
 
-PoolRow RunPoolCluster(uint32_t nodes, ClusterConfig::Dispatch dispatch, uint32_t shards) {
+PoolRow RunPoolCluster(uint32_t nodes, ClusterConfig::Dispatch dispatch) {
   PoolRow row;
   ClusterConfig config;
   config.nodes = nodes;
@@ -111,8 +109,7 @@ PoolRow RunPoolCluster(uint32_t nodes, ClusterConfig::Dispatch dispatch, uint32_
     row.error = status.message();
     return row;
   }
-  if (const Status status = bench::RunCluster(cluster, ClusterSchedule(nodes), shards);
-      !status.ok()) {
+  if (const Status status = cluster.Run(ClusterSchedule(nodes)); !status.ok()) {
     row.error = status.message();
     return row;
   }
@@ -134,10 +131,6 @@ PoolRow RunPoolCluster(uint32_t nodes, ClusterConfig::Dispatch dispatch, uint32_
 }
 
 void Run(bench::BenchEnv& env) {
-  // Cluster runs execute on --shards threads; the report is identical at any
-  // value.
-  const uint32_t shards =
-      static_cast<uint32_t>(std::atoi(env.ExtraValue("--shards=", "1").c_str()));
   PrintBanner(std::cout, "Ablation: rack-level sharing across nodes (GiB)");
 
   // Slot 0 is the CRIU baseline; slots 1..N are the cluster sizes.
@@ -150,7 +143,7 @@ void Run(bench::BenchEnv& env) {
           row.ok = true;
           return row;
         }
-        return RunCluster(kNodeCounts[idx - 1], shards);
+        return RunRack(kNodeCounts[idx - 1]);
       });
   criu_node_peak = rows[0].pool_gib;
 
@@ -180,7 +173,7 @@ void Run(bench::BenchEnv& env) {
   const std::vector<PoolRow> pool_rows = bench::ParallelSweep(
       std::size(kPoolNodeCounts) * std::size(kPolicies), env.jobs, [&](size_t idx) {
         return RunPoolCluster(kPoolNodeCounts[idx / std::size(kPolicies)],
-                              kPolicies[idx % std::size(kPolicies)], shards);
+                              kPolicies[idx % std::size(kPolicies)]);
       });
   Table pool_table({"Nodes", "Dispatch", "Shards", "Stored", "Primary min..max",
                     "Fetched", "Lease hits", "Lease misses"});
@@ -210,7 +203,7 @@ void Run(bench::BenchEnv& env) {
 }  // namespace trenv
 
 int main(int argc, char** argv) {
-  trenv::bench::BenchEnv env(argc, argv, {{"--shards=", "--shards=<n>"}});
+  trenv::bench::BenchEnv env(argc, argv);
   trenv::Run(env);
   env.Finish();
   return 0;

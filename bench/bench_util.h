@@ -17,7 +17,6 @@
 
 #include "src/common/table.h"
 #include "src/obs/export.h"
-#include "src/platform/cluster.h"
 #include "src/obs/trace.h"
 #include "src/platform/testbed.h"
 #include "src/sim/thread_pool.h"
@@ -255,17 +254,6 @@ inline ContainerRunResult RunContainerWorkload(SystemKind kind, const Schedule& 
   (void)result.bed->platform().Run(shifted);
   result.peak_memory = result.bed->platform().metrics().peak_memory_bytes();
   return result;
-}
-
-// Runs a materialized schedule on a cluster across `shards` threads at zero
-// lookahead. The cluster benches expose this behind a --shards flag: the
-// output is byte-identical at any shard count, so every bench report doubles
-// as a determinism check for the sharded core.
-inline Status RunCluster(Cluster& cluster, const Schedule& schedule, uint32_t shards) {
-  ScheduleStream stream(schedule);
-  ShardedRunOptions options;
-  options.shards = shards;
-  return cluster.RunSharded(stream, options);
 }
 
 // Host metadata stamped into every BENCH_micro.json record so

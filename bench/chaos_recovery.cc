@@ -15,7 +15,6 @@
 // Flags:
 //   --seeds=a,b,c       comma-separated schedule seeds (default: 42)
 //   --jobs=N            sweep threads; the report is byte-identical at any N
-//   --shards=N          run racks through RunSharded (byte-identical report)
 //   --bench-json=PATH   append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TEXT  label stored in the JSON record
 //
@@ -40,10 +39,6 @@ namespace {
 struct ChaosFlags {
   std::vector<uint64_t> seeds = {42};
   unsigned jobs = ThreadPool::DefaultThreads();
-  // Rack runs route through RunSharded when > 1; the fault injector forces
-  // an effective shard count of 1, so the report must stay byte-identical —
-  // which makes this flag a determinism probe for the degraded path.
-  uint32_t shards = 1;
   std::string json_path;
   std::string label;
 };
@@ -72,20 +67,13 @@ ChaosFlags ParseFlags(int argc, char** argv) {
         std::exit(2);
       }
       flags.jobs = static_cast<unsigned>(parsed);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      const int parsed = std::atoi(std::string(arg.substr(9)).c_str());
-      if (parsed < 1) {
-        std::cerr << "invalid --shards value: " << arg << " (want an integer >= 1)\n";
-        std::exit(2);
-      }
-      flags.shards = static_cast<uint32_t>(parsed);
     } else if (arg.rfind("--bench-json=", 0) == 0) {
       flags.json_path = std::string(arg.substr(13));
     } else if (arg.rfind("--bench-label=", 0) == 0) {
       flags.label = std::string(arg.substr(14));
     } else {
       std::cerr << "unknown flag: " << arg
-                << " (supported: --seeds=a,b,c --jobs=<n> --shards=<n> "
+                << " (supported: --seeds=a,b,c --jobs=<n> "
                    "--bench-json=<file> --bench-label=<text>)\n";
       std::exit(2);
     }
@@ -132,7 +120,7 @@ struct RackResult {
   double e2e_p99_ms = 0;
 };
 
-RackResult RunRack(uint64_t seed, bool trenv_failover, uint32_t shards) {
+RackResult RunRack(uint64_t seed, bool trenv_failover) {
   RackResult result;
   ClusterConfig config;
   config.nodes = 4;
@@ -146,7 +134,7 @@ RackResult RunRack(uint64_t seed, bool trenv_failover, uint32_t shards) {
   if (!cluster.DeployTable4Functions().ok()) {
     return result;
   }
-  const Status run = bench::RunCluster(cluster, RackWorkload(seed), shards);
+  const Status run = cluster.Run(RackWorkload(seed));
   if (!run.ok()) {
     std::cerr << "chaos run failed: " << run << "\n";
     return result;
@@ -230,8 +218,8 @@ int RunBench(const ChaosFlags& flags) {
   const std::vector<SeedResults> results =
       bench::ParallelSweep(flags.seeds.size(), flags.jobs, [&](size_t i) {
         SeedResults r;
-        r.failover = RunRack(flags.seeds[i], /*trenv_failover=*/true, flags.shards);
-        r.redeploy = RunRack(flags.seeds[i], /*trenv_failover=*/false, flags.shards);
+        r.failover = RunRack(flags.seeds[i], /*trenv_failover=*/true);
+        r.redeploy = RunRack(flags.seeds[i], /*trenv_failover=*/false);
         r.rdma_clean = RunRdmaDegraded(flags.seeds[i], /*faulty=*/false);
         r.rdma_faulty = RunRdmaDegraded(flags.seeds[i], /*faulty=*/true);
         return r;

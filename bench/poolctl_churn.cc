@@ -25,12 +25,11 @@
 //     1, mitigation (score-driven extra replicas + spread reads) must cut
 //     the peak per-node lease traffic by >= 2x vs static replication.
 //
-// The report is byte-identical at any --jobs and --shards value (runs are
+// The report is byte-identical at any --jobs value (runs are
 // self-contained; all randomness is seeded), which CI enforces with cmp.
 //
 // Flags:
 //   --jobs=N            sweep threads; the report is byte-identical at any N
-//   --shards=N          sharded cluster execution (byte-identical)
 //   --bench-json=PATH   append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TEXT  label stored in the JSON record
 #include <cstdint>
@@ -108,7 +107,7 @@ struct ChurnResult {
   double e2e_p99_ms = 0;
 };
 
-ChurnResult RunChurn(uint32_t pool_nodes, bool continuous, uint32_t shards) {
+ChurnResult RunChurn(uint32_t pool_nodes, bool continuous) {
   ClusterConfig config;
   config.nodes = kWorkers;
   config.dispatch = ClusterConfig::Dispatch::kTemplateLocality;
@@ -122,7 +121,7 @@ ChurnResult RunChurn(uint32_t pool_nodes, bool continuous, uint32_t shards) {
   if (!cluster.DeployTable4Functions().ok()) {
     return {};
   }
-  if (!bench::RunCluster(cluster, ChurnWorkload(), shards).ok()) {
+  if (!cluster.Run(ChurnWorkload()).ok()) {
     return {};
   }
   ChurnResult r;
@@ -222,8 +221,6 @@ HotResult RunHotShard(bool mitigation) {
 }
 
 int RunBench(bench::BenchEnv& env) {
-  const uint32_t shards =
-      static_cast<uint32_t>(std::atoi(env.ExtraValue("--shards=", "1").c_str()));
   std::cout << "=== Continuous pool control under churn: rolling restarts + long outage "
                "+ flap storms ===\n";
 
@@ -239,7 +236,7 @@ int RunBench(bench::BenchEnv& env) {
   }
   const std::vector<ChurnResult> sweep = bench::ParallelSweep(
       points.size(), env.jobs,
-      [&](size_t i) { return RunChurn(points[i].pool_nodes, points[i].continuous, shards); });
+      [&](size_t i) { return RunChurn(points[i].pool_nodes, points[i].continuous); });
 
   Table table({"Pool nodes", "Mode", "Accepted", "Completed", "Deaths", "FalseSusp",
                "Rejoins", "Moved MiB", "Shed", "NAS MiB", "UnderRepl", "Attach p99 ms"});
@@ -348,8 +345,7 @@ int RunBench(bench::BenchEnv& env) {
 int main(int argc, char** argv) {
   trenv::bench::BenchEnv env(argc, argv,
                              {{"--bench-json=", "--bench-json=<file>"},
-                              {"--bench-label=", "--bench-label=<text>"},
-                              {"--shards=", "--shards=<n>"}});
+                              {"--bench-label=", "--bench-label=<text>"}});
   const int rc = trenv::RunBench(env);
   env.Finish();
   return rc;

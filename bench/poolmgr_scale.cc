@@ -108,7 +108,7 @@ RunResult Collect(Cluster& cluster) {
   return r;
 }
 
-RunResult RunScale(uint32_t nodes, uint32_t replication, Dispatch dispatch, uint32_t shards) {
+RunResult RunScale(uint32_t nodes, uint32_t replication, Dispatch dispatch) {
   ClusterConfig config;
   config.nodes = nodes;
   config.dispatch = dispatch;
@@ -119,7 +119,7 @@ RunResult RunScale(uint32_t nodes, uint32_t replication, Dispatch dispatch, uint
   if (!cluster.DeployTable4Functions().ok()) {
     return {};
   }
-  if (!bench::RunCluster(cluster, SweepWorkload(), shards).ok()) {
+  if (!cluster.Run(SweepWorkload()).ok()) {
     return {};
   }
   return Collect(cluster);
@@ -131,7 +131,7 @@ RunResult RunScale(uint32_t nodes, uint32_t replication, Dispatch dispatch, uint
 // reconcile pass + instant crash knowledge for the poolctl control plane (gossip
 // membership must *detect* the death before the budgeted rebalancer may
 // react to it).
-RunResult RunChaos(uint32_t replication, bool continuous, uint32_t shards) {
+RunResult RunChaos(uint32_t replication, bool continuous) {
   ClusterConfig config;
   config.nodes = 4;
   config.dispatch = Dispatch::kTemplateLocality;
@@ -151,7 +151,7 @@ RunResult RunChaos(uint32_t replication, bool continuous, uint32_t shards) {
   if (!cluster.DeployTable4Functions().ok()) {
     return {};
   }
-  if (!bench::RunCluster(cluster, SweepWorkload(), shards).ok()) {
+  if (!cluster.Run(SweepWorkload()).ok()) {
     return {};
   }
   return Collect(cluster);
@@ -164,10 +164,6 @@ struct SweepPoint {
 };
 
 int RunBench(bench::BenchEnv& env) {
-  // Sharded execution of each run; the report is byte-identical at any value,
-  // so this doubles as a determinism check over the sharded core.
-  const uint32_t shards =
-      static_cast<uint32_t>(std::atoi(env.ExtraValue("--shards=", "1").c_str()));
   std::cout << "=== Pool control plane: nodes x replication x dispatch ===\n";
 
   std::vector<SweepPoint> points;
@@ -182,7 +178,7 @@ int RunBench(bench::BenchEnv& env) {
       bench::ParallelSweep(points.size(), env.jobs,
                            [&](size_t i) {
                              return RunScale(points[i].nodes, points[i].replication,
-                                             points[i].dispatch, shards);
+                                             points[i].dispatch);
                            });
 
   Table table({"Nodes", "Repl", "Dispatch", "Fetch MiB", "Fetch ops", "Coalesced",
@@ -242,7 +238,7 @@ int RunBench(bench::BenchEnv& env) {
   const std::vector<ChaosPoint> chaos_points = {{1, false}, {2, false}, {2, true}};
   const std::vector<RunResult> chaos = bench::ParallelSweep(
       chaos_points.size(), env.jobs, [&](size_t i) {
-        return RunChaos(chaos_points[i].replication, chaos_points[i].continuous, shards);
+        return RunChaos(chaos_points[i].replication, chaos_points[i].continuous);
       });
 
   Table crash({"Repl", "Membership", "Accepted", "Completed", "Promotions", "Revoked",
@@ -344,8 +340,7 @@ int RunBench(bench::BenchEnv& env) {
 int main(int argc, char** argv) {
   trenv::bench::BenchEnv env(argc, argv,
                              {{"--bench-json=", "--bench-json=<file>"},
-                              {"--bench-label=", "--bench-label=<text>"},
-                              {"--shards=", "--shards=<n>"}});
+                              {"--bench-label=", "--bench-label=<text>"}});
   const int rc = trenv::RunBench(env);
   env.Finish();
   return rc;

@@ -9,7 +9,7 @@
 namespace trenv {
 
 size_t ContentMap::FirstOverlapping(PoolOffset page) const {
-  const size_t hint = lookup_hint_.load(std::memory_order_relaxed);
+  const size_t hint = lookup_hint_;
   if (hint < runs_.size() && runs_[hint].base <= page &&
       page < runs_[hint].base + runs_[hint].npages) {
     return hint;
@@ -34,7 +34,7 @@ void ContentMap::SpliceWindow(size_t lo, size_t hi, const Run* repl, size_t coun
     runs_.erase(runs_.begin() + static_cast<ptrdiff_t>(lo + count),
                 runs_.begin() + static_cast<ptrdiff_t>(hi));
   }
-  lookup_hint_.store(lo, std::memory_order_relaxed);
+  lookup_hint_ = lo;
 }
 
 void ContentMap::Write(PoolOffset page, uint64_t npages, PageContent content_base) {
@@ -71,7 +71,7 @@ Result<PageContent> ContentMap::Read(PoolOffset page) const {
   if (i >= runs_.size() || runs_[i].base > page) {
     return Status::NotFound("no content stored at pool offset");
   }
-  lookup_hint_.store(i, std::memory_order_relaxed);
+  lookup_hint_ = i;
   return runs_[i].content_base + (page - runs_[i].base);
 }
 

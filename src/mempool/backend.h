@@ -8,7 +8,6 @@
 #ifndef TRENV_MEMPOOL_BACKEND_H_
 #define TRENV_MEMPOOL_BACKEND_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -62,11 +61,9 @@ class ContentMap {
 
   // Runs sorted by base, pairwise disjoint.
   std::vector<Run> runs_;
-  // Search-start memo, not semantics: a stale or torn hint only costs a
-  // binary search. Relaxed-atomic because const reads on the SHARED pool's
-  // content map run concurrently from per-shard drains in a sharded cluster
-  // run (writes stay coordinator-serial).
-  mutable std::atomic<size_t> lookup_hint_{0};
+  // Search-start memo, not semantics: a stale hint only costs a binary
+  // search. Mutable so const lookups can move it.
+  mutable size_t lookup_hint_ = 0;
 };
 
 class MemoryBackend {

@@ -11,18 +11,14 @@
 // Threading: instrument creation/lookup (GetCounter, GetGauge, Find*, Reset)
 // is guarded by a mutex so concurrent sweep runs may touch the shared
 // DefaultRegistry() — e.g. transient default bindings during construction —
-// without racing. Counter::Add is an atomic CAS loop so counters bound to
-// shared devices (the rack's CXL pool) survive concurrent per-shard drains;
-// Gauge mutation stays lock-free-unsynchronized, so each concurrent
-// simulation must own the gauges it writes (a sharded cluster run sets
-// shared gauges only from the coordinator, between epochs). The
+// without racing. Counter and Gauge mutation is unsynchronized: each
+// simulation runs on one thread and must own the instruments it bumps. The
 // counters()/gauges() iteration accessors require external quiescence
 // (exporters run after the sweeps have joined).
 #ifndef TRENV_OBS_REGISTRY_H_
 #define TRENV_OBS_REGISTRY_H_
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -34,26 +30,13 @@ namespace obs {
 
 // A monotonically increasing total (invocations, pages fetched, CPU-seconds).
 // Reset() is for experiment windows, not for call sites.
-//
-// Add is a lock-free CAS loop: counters bound to SHARED devices (the rack's
-// CXL pool) are bumped concurrently by per-shard drains in a sharded cluster
-// run. Integer-valued deltas well below 2^53 commute exactly in a double, so
-// the final total is independent of shard interleaving — the property the
-// byte-identical-at-any---shards contract leans on. (A plain fetch_add on
-// std::atomic<double> needs C++20 library support that is uneven across
-// toolchains; the CAS loop is the portable spelling.)
 class Counter {
  public:
-  void Add(double delta) {
-    double current = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(current, current + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
+  void Add(double delta) { value_ += delta; }
   void Increment() { Add(1.0); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
+  void Reset() { value_ = 0.0; }
 
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  double value() const { return value_; }
   const std::string& name() const { return name_; }
 
  private:
@@ -61,7 +44,7 @@ class Counter {
   explicit Counter(std::string name) : name_(std::move(name)) {}
 
   std::string name_;
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 // A sampled instantaneous value (pool occupancy, open streams). Remembers its

@@ -1,7 +1,6 @@
 #include "src/platform/cluster.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -147,7 +146,7 @@ size_t Cluster::PickNode(const std::string& function, SimTime arrival) {
               ? pool_ctl_->DispatchPenaltyMs(static_cast<uint32_t>(i), arrival)
               : 0;
       return std::make_tuple(!warm, !leased, penalty,
-                             n.platform->concurrent_startups() + WindowLoad(i),
+                             n.platform->concurrent_startups(),
                              n.platform->frames().used_bytes());
     };
     size_t best = nodes_.size();
@@ -174,7 +173,7 @@ size_t Cluster::PickNode(const std::string& function, SimTime arrival) {
     }
     const auto key = [&](size_t j) {
       const Node& n = *nodes_[j];
-      return std::make_pair(n.platform->concurrent_startups() + WindowLoad(j),
+      return std::make_pair(n.platform->concurrent_startups(),
                             n.platform->frames().used_bytes());
     };
     if (key(i) < key(best)) {
@@ -228,7 +227,7 @@ Status Cluster::Dispatch(SimTime arrival, const std::string& function,
     // can start: a lease hit is metadata-only; a miss pulls the shards over
     // the chosen node's NIC. Leases are as the control clock last left them:
     // at the arrival for a fresh invocation, at the fault event for a
-    // failover re-dispatch, at the window start for windowed dispatch.
+    // failover re-dispatch.
     const FunctionId fid = GlobalFunctionInterner().Find(function);
     const PoolManager::AttachOutcome attach =
         pool_mgr_->Attach(static_cast<uint32_t>(node_index), fid, arrival);
@@ -242,12 +241,6 @@ Status Cluster::Dispatch(SimTime arrival, const std::string& function,
       platform.tracer()->Annotate(id, "latency_us", attach.latency.nanos() / 1000);
     }
   }
-  if (!window_dispatches_.empty()) {
-    ++window_dispatches_[node_index];
-  }
-  // Every Dispatch runs on the coordinator thread while the shards are
-  // parked, and event sequence numbers are per-node, so an immediate submit
-  // orders events exactly as the stepped public-API loop does.
   const Status status = platform.Submit(start, function, std::move(options.on_complete));
   if (!status.ok()) {
     // Name the rejecting node: "invocation failed" without a culprit is
@@ -375,61 +368,16 @@ Status Cluster::Run(const Schedule& schedule) {
   return RunSharded(stream);
 }
 
-bool Cluster::CanShardAcrossThreads() const {
-  // shstate is cross-node-shared and unsynchronized (region maps, clock), so
-  // it degrades sharded runs to one shard like the other shared components.
-  return injector_ == nullptr && config_.node_config.tracer == nullptr &&
-         config_.node_config.prewarm == nullptr && !config_.node_config.density.enabled &&
-         shstate_ == nullptr;
-}
-
 Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& options) {
+  if (options.shards != 1) {
+    return Status::InvalidArgument("the rack runs on one thread; shards=" +
+                                   std::to_string(options.shards) + " is not supported");
+  }
   const std::vector<FaultInjector::NodeEvent> plan = PlanFaultEvents();
-  // Shard count: clamped to the node count; degraded to one shard when a
-  // cross-node-shared component (injector, tracer, prewarm, density,
-  // shstate) is configured. Degradation changes only how much work runs
-  // concurrently — the epoch algorithm below is identical, so output is
-  // still independent of the requested shard count.
-  uint32_t shards = std::max<uint32_t>(1, options.shards);
-  shards = std::min<uint32_t>(shards, static_cast<uint32_t>(nodes_.size()));
-  if (!CanShardAcrossThreads()) {
-    shards = 1;
-  }
-  sharded_effective_shards_ = shards;
-
-  // Contiguous node ranges per shard.
-  std::vector<std::pair<size_t, size_t>> shard_range(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    shard_range[s] = {nodes_.size() * s / shards, nodes_.size() * (s + 1) / shards};
-  }
-  const bool windowed = options.lookahead > SimDuration::Zero();
-  if (windowed) {
-    window_dispatches_.assign(nodes_.size(), 0);
-  }
-  struct WindowGuard {
-    Cluster* cluster;
-    ~WindowGuard() { cluster->window_dispatches_.clear(); }
-  } guard{this};
-
-  ShardCoordinator coordinator(shards);
-
-  // One epoch: each shard drains its nodes in index order up to `until`, or
-  // to completion when it is empty. The control clock follows on the
-  // coordinator thread. The lambda is built once; `until` is rebound per
-  // epoch.
-  std::optional<SimTime> until;
-  const std::function<void(size_t)> drain_shard = [&](size_t s) {
-    DrainNodes(shard_range[s].first, shard_range[s].second, until);
-  };
-  const auto epoch_advance = [&](SimTime t) {
-    until = t;
-    coordinator.RunEpoch(drain_shard);
-    control_clock_.RunUntil(t);
-    if (windowed) {
-      // A sync point refreshes the real load state; the window's provisional
-      // placement counts are now visible as concurrent startups.
-      std::fill(window_dispatches_.begin(), window_dispatches_.end(), 0u);
-    }
+  sharded_epochs_ = 0;
+  const auto sync_to = [&](SimTime t) {
+    AdvanceClocksTo(t);
+    ++sharded_epochs_;
   };
 
   // Node-level fault events (crashes, restarts, pressure windows) merge into
@@ -439,39 +387,17 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   while (pending.has_value() || next_event < plan.size()) {
     if (next_event < plan.size() &&
         (!pending.has_value() || plan[next_event].time <= pending->arrival)) {
-      epoch_advance(plan[next_event].time);
+      sync_to(plan[next_event].time);
       ApplyFaultEvent(plan[next_event]);
       ++next_event;
       continue;
     }
-    const SimTime window_start = pending->arrival;
-    epoch_advance(window_start);
-    if (!windowed) {
-      // Per-arrival epochs: dispatch sees exactly the sequential load state.
-      TRENV_RETURN_IF_ERROR(Submit(pending->arrival, pending->function));
-      pending = arrivals.Next();
-      continue;
-    }
-    // Batched dispatch: every arrival inside [window_start, window_start +
-    // lookahead) places against the snapshot at window_start plus this
-    // window's own placements. Fault events still cut the window short so
-    // their interleaving matches the sequential run.
-    const SimTime window_end = window_start + options.lookahead;
-    while (pending.has_value() && pending->arrival < window_end &&
-           !(next_event < plan.size() && plan[next_event].time <= pending->arrival)) {
-      TRENV_RETURN_IF_ERROR(Submit(pending->arrival, pending->function));
-      pending = arrivals.Next();
-    }
+    sync_to(pending->arrival);
+    TRENV_RETURN_IF_ERROR(Submit(pending->arrival, pending->function));
+    pending = arrivals.Next();
   }
-
-  // Final epoch: drain every node to completion (nodes diverge in time here,
-  // exactly like DrainAll — no cross-node interaction remains). DrainAll then
-  // finds the nodes idle and drains only the control clock.
-  until.reset();
-  coordinator.RunEpoch(drain_shard);
+  ++sharded_epochs_;
   DrainAll();
-  sharded_epochs_ = coordinator.epochs();
-  sharded_barrier_wait_ = coordinator.barrier_wait_seconds();
   return Status::Ok();
 }
 
@@ -489,9 +415,9 @@ std::optional<SimTime> Cluster::NextEventTime() {
   return earliest;
 }
 
-void Cluster::DrainNodes(size_t begin, size_t end, std::optional<SimTime> until) {
-  for (size_t i = begin; i < end; ++i) {
-    FocusNode(i);  // an injector implies one shard: still coordinator-serial
+void Cluster::DrainNodes(std::optional<SimTime> until) {
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    FocusNode(i);
     if (until.has_value()) {
       nodes_[i]->platform->scheduler().RunUntil(*until);
     } else {
@@ -503,7 +429,7 @@ void Cluster::DrainNodes(size_t begin, size_t end, std::optional<SimTime> until)
 void Cluster::AdvanceClocksTo(SimTime t) {
   // Dead nodes advance too (their queue is empty; only the clock moves), so
   // a restarted node rejoins at the cluster-wide instant.
-  DrainNodes(0, nodes_.size(), t);
+  DrainNodes(t);
   control_clock_.RunUntil(t);
 }
 
@@ -516,7 +442,7 @@ std::vector<FaultInjector::NodeEvent> Cluster::PlanFaultEvents() {
 }
 
 void Cluster::DrainAll() {
-  DrainNodes(0, nodes_.size(), std::nullopt);
+  DrainNodes(std::nullopt);
   if (pool_ctl_ != nullptr) {
     // Cancel the periodic ticks (heartbeats, rebalancing) so the drain below
     // terminates. No final converge: replication at trace end is whatever

@@ -25,7 +25,6 @@
 #include "src/poolmgr/pool_manager.h"
 #include "src/shstate/region_manager.h"
 #include "src/sim/event_scheduler.h"
-#include "src/sim/shard_coordinator.h"
 #include "src/workload/arrival_stream.h"
 
 namespace trenv {
@@ -43,21 +42,11 @@ struct FailoverPolicy {
   SimDuration redeploy_penalty;
 };
 
-// How Cluster::RunSharded splits one run across threads.
+// Options of Cluster::RunSharded. The rack runs on one thread: every arrival
+// reads every node's load, so node drains have no independent work to overlap.
 struct ShardedRunOptions {
-  // Worker threads driving disjoint node ranges; clamped to the node count.
-  // Every setting produces byte-identical results — shards only decide how
-  // much of each epoch's node-drain work runs concurrently.
+  // Must be 1; any other value is refused with InvalidArgument.
   uint32_t shards = 1;
-  // Conservative-lookahead window. Zero: one synchronization epoch per
-  // arrival, so every dispatch sees exactly the load state at its arrival
-  // instant — byte-identical to stepping the rack with AdvanceClocksTo and
-  // Submit. Positive: all arrivals inside one window are dispatched against
-  // the load snapshot taken at the window start (plus a deterministic count
-  // of the window's own placements per node), amortizing the barrier across
-  // many arrivals. The window grid depends only on the trace, never on the
-  // shard count, so output is still independent of --shards.
-  SimDuration lookahead;
 };
 
 struct ClusterConfig {
@@ -121,32 +110,24 @@ class Cluster {
   };
   [[nodiscard]] Status Submit(SimTime arrival, const std::string& function,
                               SubmitOptions options);
-  // RunSharded over the schedule with the default options (one shard, zero
-  // lookahead).
+  // RunSharded over the schedule.
   [[nodiscard]] Status Run(const Schedule& schedule);
 
   // The rack's run loop: the trace pulls lazily from `arrivals` (a
-  // 10M-invocation trace never materializes) and the per-node
-  // EventSchedulers advance in parallel epochs under conservative-lookahead
-  // synchronization. Cross-shard interactions (dispatch, poolmgr attach,
-  // platform submit, failover re-dispatch) run on the coordinator thread
-  // between epochs, while every shard is parked, as does the control clock.
-  // Output is byte-identical at any `shards` setting, and with lookahead zero
-  // it equals the stepped PlanFaultEvents/AdvanceClocksTo/ApplyFaultEvent/
-  // Submit/DrainAll loop.
-  //
-  // Preconditions for cross-thread sharding: no fault injector, no tracer,
-  // no prewarm policy, density off, shstate off. When any of those is
-  // configured the run degrades to one shard (same epoch algorithm, same
-  // output at any requested shard count) — see docs/simulation_model.md.
+  // 10M-invocation trace never materializes). Before each arrival and each
+  // node fault event, every node scheduler and then the control clock
+  // advance to its instant (one sync point), so dispatch reads the load and
+  // the lease state as of the arrival. The result equals the stepped
+  // PlanFaultEvents/AdvanceClocksTo/ApplyFaultEvent/Submit/DrainAll loop.
   [[nodiscard]] Status RunSharded(ArrivalStream& arrivals,
                                   const ShardedRunOptions& options = {});
 
-  // Introspection for the last RunSharded (the sharded_scale bench reports
-  // synchronization overhead from these).
-  uint32_t sharded_effective_shards() const { return sharded_effective_shards_; }
+  // Sync points of the last RunSharded: one per arrival and fault event,
+  // plus the final drain.
   uint64_t sharded_epochs() const { return sharded_epochs_; }
-  double sharded_barrier_wait_seconds() const { return sharded_barrier_wait_; }
+  // Always 0: nothing waits on a barrier. Kept because the host benchmark
+  // still reports it.
+  double sharded_barrier_wait_seconds() const { return 0; }
 
   size_t node_count() const { return nodes_.size(); }
   ServerlessPlatform& node(size_t i) { return *nodes_[i]->platform; }
@@ -217,15 +198,6 @@ class Cluster {
   };
 
   bool AnyAlive() const;
-  // True when node drains may run on concurrent threads: the injector binds
-  // per-node state, the tracer and prewarm policy are cross-node-shared and
-  // unsynchronized, and density migration writes the shared pools.
-  bool CanShardAcrossThreads() const;
-  // Placements already made in the current lookahead window; zero in
-  // per-arrival mode and outside RunSharded (window_dispatches_ is empty).
-  uint32_t WindowLoad(size_t node) const {
-    return window_dispatches_.empty() ? 0u : window_dispatches_[node];
-  }
   size_t PickNode(const std::string& function, SimTime arrival);
   // Submit minus acceptance accounting: used both for fresh arrivals and for
   // re-dispatching recovered invocations (which were already counted).
@@ -237,10 +209,9 @@ class Cluster {
   // Points the injector's clock and CXL-port scope at node i before its
   // scheduler is drained (node clocks diverge during DrainAll).
   void FocusNode(size_t i);
-  // Drains nodes [begin, end) in index order: up to `until`, or to
-  // completion when it is empty. The one per-node drain behind
-  // AdvanceClocksTo, DrainAll and RunSharded's shard epochs.
-  void DrainNodes(size_t begin, size_t end, std::optional<SimTime> until);
+  // Drains every node in index order: up to `until`, or to completion when
+  // it is empty. The one per-node drain behind AdvanceClocksTo and DrainAll.
+  void DrainNodes(std::optional<SimTime> until);
   void CrashNode(size_t i, SimTime when);
   void RestartNode(size_t i, SimTime when);
 
@@ -266,15 +237,7 @@ class Cluster {
   std::vector<Deferred> deferred_;
   size_t next_node_ = 0;
   uint64_t accepted_ = 0;
-  // Windowed dispatch only: per-node count of placements already made in the
-  // current lookahead window, added to the load key so a burst inside one
-  // window spreads instead of dog-piling the snapshot's least-loaded node.
-  // Empty in per-arrival mode and outside RunSharded (PickNode then reads
-  // all zeros).
-  std::vector<uint32_t> window_dispatches_;
-  uint32_t sharded_effective_shards_ = 0;
   uint64_t sharded_epochs_ = 0;
-  double sharded_barrier_wait_ = 0;
 };
 
 }  // namespace trenv

@@ -242,7 +242,12 @@ void ServerlessPlatform::StartInvocation(const std::string& function, uint64_t t
   ctx.trace_parent = flight.root_span;
   auto outcome = engine_->Restore(profile, ctx);
   if (!outcome.ok()) {
-    TRENV_WARN << "restore failed for " << function << ": " << outcome.status();
+    if (!restore_failure_logged_) {
+      // One line per node; the rest are counted in failed_invocations().
+      restore_failure_logged_ = true;
+      TRENV_WARN << "restore failed for " << function << ": " << outcome.status()
+                 << " (further restore failures on this node are only counted)";
+    }
     --concurrent_startups_;
     ++failed_invocations_;
     if (tracer_ != nullptr) {

@@ -70,7 +70,7 @@ using CompletionFn = std::function<void(uint32_t node, SimTime when)>;
 // re-dispatches these to surviving nodes. The acceptance ticket makes
 // (arrival, ticket) a strict total order, so failover re-dispatch order is
 // deterministic even when queued and in-flight invocations share an arrival
-// time (required for sharded replay to match the sequential run).
+// time.
 struct LostInvocation {
   std::string function;
   SimTime arrival;
@@ -200,6 +200,7 @@ class ServerlessPlatform {
   uint64_t next_ticket_ = 1;
   uint32_t concurrent_startups_ = 0;
   uint64_t failed_invocations_ = 0;
+  bool restore_failure_logged_ = false;
   double mem_cap_scale_ = 1.0;
   obs::Gauge* soft_cap_gauge_ = nullptr;  // created on first pressure change
 };

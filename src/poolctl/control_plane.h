@@ -30,7 +30,7 @@
 // Determinism: every decision runs on the cluster's control clock, iterates
 // in node/shard order, and draws randomness only from the membership
 // detector's private seeded Rng — output stays byte-identical across
-// --jobs and --shards.
+// --jobs.
 #ifndef TRENV_POOLCTL_CONTROL_PLANE_H_
 #define TRENV_POOLCTL_CONTROL_PLANE_H_
 

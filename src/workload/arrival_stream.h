@@ -1,5 +1,5 @@
-// Pull-based arrival generation: the streaming half of the sharded-core
-// refactor. A 10M-invocation trace never lives in memory — each generator
+// Pull-based arrival generation for the rack's run loop (Cluster::RunSharded).
+// A 10M-invocation trace never lives in memory — each generator
 // keeps per-function state plus a bounded reorder buffer and hands out
 // invocations one at a time in non-decreasing arrival order.
 //

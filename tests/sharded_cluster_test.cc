@@ -1,10 +1,9 @@
-// Cluster::RunSharded determinism contract: output is byte-identical at any
-// --shards setting, and with zero lookahead byte-identical to a loop that
-// steps the rack through its public API. "Byte-identical" is checked through
-// a fingerprint that serializes every externally observable quantity
-// (per-function histograms at full precision, per-node memory, every registry
-// counter), so any divergence in event ordering, RNG draws, or placement
-// shows up as a string mismatch.
+// Cluster::RunSharded contract: the rack's run loop is byte-identical to a
+// loop that steps the rack through its public API. "Byte-identical" is
+// checked through a fingerprint that serializes every externally observable
+// quantity (per-function histograms at full precision, per-node memory, every
+// registry counter), so any divergence in event ordering, RNG draws, or
+// placement shows up as a string mismatch.
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -99,80 +98,66 @@ std::string RunLegacy(const ClusterConfig& config, const Schedule& schedule) {
   return Fingerprint(cluster);
 }
 
-std::string RunShardedOn(const ClusterConfig& config, const Schedule& schedule,
-                         uint32_t shards, SimDuration lookahead,
-                         uint32_t* effective = nullptr) {
+std::string RunShardedOn(const ClusterConfig& config, const Schedule& schedule) {
   Cluster cluster(config);
   EXPECT_TRUE(cluster.DeployTable4Functions().ok());
   ScheduleStream stream(schedule);
-  ShardedRunOptions options;
-  options.shards = shards;
-  options.lookahead = lookahead;
-  EXPECT_TRUE(cluster.RunSharded(stream, options).ok());
-  if (effective != nullptr) {
-    *effective = cluster.sharded_effective_shards();
-  }
+  EXPECT_TRUE(cluster.RunSharded(stream).ok());
   return Fingerprint(cluster);
 }
 
-TEST(ShardedClusterTest, PerArrivalModeMatchesLegacyRunAtEveryShardCount) {
+TEST(ShardedClusterTest, PerArrivalRunMatchesSteppedLoop) {
   const Schedule schedule = TestSchedule(42);
   const ClusterConfig config = BaseConfig();
   const std::string legacy = RunLegacy(config, schedule);
   ASSERT_NE(legacy.find("fn JS"), std::string::npos);
-  for (const uint32_t shards : {1u, 2u, 4u}) {
-    EXPECT_EQ(legacy, RunShardedOn(config, schedule, shards, SimDuration::Zero()))
-        << "shards=" << shards;
-  }
+  EXPECT_EQ(legacy, RunShardedOn(config, schedule));
 }
 
-TEST(ShardedClusterTest, WindowedModeIsShardCountInvariant) {
-  const Schedule schedule = TestSchedule(7);
-  const ClusterConfig config = BaseConfig();
-  const std::string one = RunShardedOn(config, schedule, 1, SimDuration::Millis(20));
-  for (const uint32_t shards : {2u, 4u, 8u}) {
-    EXPECT_EQ(one, RunShardedOn(config, schedule, shards, SimDuration::Millis(20)))
-        << "shards=" << shards;
-  }
-  // The windowed run still completes the whole trace.
-  EXPECT_NE(one.find("accepted=" + std::to_string(schedule.size())), std::string::npos);
-}
-
-TEST(ShardedClusterTest, ShardCountClampsToNodeCount) {
+TEST(ShardedClusterTest, OneSyncPointPerArrivalPlusTheFinalDrain) {
   const Schedule schedule = TestSchedule(3);
-  uint32_t effective = 0;
-  RunShardedOn(BaseConfig(), schedule, 64, SimDuration::Zero(), &effective);
-  EXPECT_EQ(effective, 4u);
+  Cluster cluster(BaseConfig());
+  ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+  ScheduleStream stream(schedule);
+  ASSERT_TRUE(cluster.RunSharded(stream).ok());
+  EXPECT_EQ(cluster.sharded_epochs(), schedule.size() + 1);
+  EXPECT_EQ(cluster.sharded_barrier_wait_seconds(), 0.0);
 }
 
-TEST(ShardedClusterTest, LeastLoadedAndTemplateLocalityBothDeterministic) {
+TEST(ShardedClusterTest, MoreThanOneShardIsRefused) {
+  // The rack runs on one thread; a multi-shard request must fail loudly
+  // instead of silently running on one shard.
+  const Schedule schedule = TestSchedule(3);
+  Cluster cluster(BaseConfig());
+  ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+  ScheduleStream stream(schedule);
+  ShardedRunOptions options;
+  options.shards = 4;
+  const Status status = cluster.RunSharded(stream, options);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("shards=4"), std::string::npos) << status;
+  EXPECT_EQ(cluster.accepted_invocations(), 0u);
+}
+
+TEST(ShardedClusterTest, RoundRobinAndTemplateLocalityMatchSteppedLoop) {
   const Schedule schedule = TestSchedule(11);
   for (const auto dispatch : {ClusterConfig::Dispatch::kRoundRobin,
                               ClusterConfig::Dispatch::kTemplateLocality}) {
     ClusterConfig config = BaseConfig();
     config.dispatch = dispatch;
-    const std::string legacy = RunLegacy(config, schedule);
-    EXPECT_EQ(legacy, RunShardedOn(config, schedule, 4, SimDuration::Zero()));
-    const std::string windowed = RunShardedOn(config, schedule, 1, SimDuration::Millis(10));
-    EXPECT_EQ(windowed, RunShardedOn(config, schedule, 4, SimDuration::Millis(10)));
+    EXPECT_EQ(RunLegacy(config, schedule), RunShardedOn(config, schedule));
   }
 }
 
-TEST(ShardedClusterTest, PoolManagerRunsShardedDeterministically) {
+TEST(ShardedClusterTest, PoolManagerRunMatchesSteppedLoop) {
   ClusterConfig config = BaseConfig();
   config.poolmgr.enabled = true;
   config.dispatch = ClusterConfig::Dispatch::kTemplateLocality;
   const Schedule schedule = TestSchedule(13);
-  const std::string legacy = RunLegacy(config, schedule);
-  for (const uint32_t shards : {2u, 4u}) {
-    EXPECT_EQ(legacy, RunShardedOn(config, schedule, shards, SimDuration::Zero()))
-        << "shards=" << shards;
-  }
-  EXPECT_EQ(RunShardedOn(config, schedule, 1, SimDuration::Millis(20)),
-            RunShardedOn(config, schedule, 4, SimDuration::Millis(20)));
+  EXPECT_EQ(RunLegacy(config, schedule), RunShardedOn(config, schedule));
 }
 
-TEST(ShardedClusterTest, FaultedRunDegradesToOneShardAndMatchesLegacy) {
+TEST(ShardedClusterTest, FaultedRunMatchesSteppedLoop) {
   ClusterConfig config = BaseConfig();
   config.faults.Add(NodeCrashWindow(SimTime::Zero() + SimDuration::Seconds(4),
                                     SimTime::Zero() + SimDuration::Seconds(6), 1.0, 1,
@@ -180,24 +165,16 @@ TEST(ShardedClusterTest, FaultedRunDegradesToOneShardAndMatchesLegacy) {
   config.faults.Add(PoolPressureWindow(SimTime::Zero() + SimDuration::Seconds(8),
                                        SimTime::Zero() + SimDuration::Seconds(12), 0.5));
   const Schedule schedule = TestSchedule(21);
-  const std::string legacy = RunLegacy(config, schedule);
-  // The injector binds per-node state, so cross-thread sharding is off: any
-  // requested shard count degrades to 1 and the output must still match the
-  // stepped run exactly (crash, failover re-dispatch, and pressure events
-  // run on the coordinator between the same epochs).
-  for (const uint32_t shards : {1u, 4u}) {
-    uint32_t effective = 0;
-    EXPECT_EQ(legacy, RunShardedOn(config, schedule, shards, SimDuration::Zero(), &effective))
-        << "shards=" << shards;
-    EXPECT_EQ(effective, 1u);
-  }
+  // Crash, failover re-dispatch and pressure events interleave with the
+  // arrivals exactly as in the stepped run.
+  EXPECT_EQ(RunLegacy(config, schedule), RunShardedOn(config, schedule));
 }
 
 TEST(ShardedClusterTest, ShStateClockAdvancesAndDrainsLikeRun) {
   // The shared-state plane's events (reader-lease expiries, shootdowns) must
-  // follow the sharded epochs and drain at the end exactly as in the stepped
-  // loop: a reader lease lapsing before the only arrival is unmapped, and no
-  // event is left pending. With poolmgr on, its template lease shares the
+  // follow the run loop's sync points and drain at the end exactly as in the
+  // stepped loop: a reader lease lapsing before the only arrival is unmapped,
+  // and no event is left pending. With poolmgr on, its template lease shares the
   // control clock and the two runs must still agree.
   ClusterConfig config;
   config.nodes = 2;
@@ -301,16 +278,14 @@ TEST(ShardedClusterTest, StreamingTraceMatchesMaterializedSchedule) {
   ASSERT_TRUE(cluster.DeployTable4Functions().ok());
   Rng rng(42);
   PoissonArrivalStream stream(fns, 40.0, SimDuration::Seconds(20), 0.7, &rng);
-  ShardedRunOptions options;
-  options.shards = 4;
-  ASSERT_TRUE(cluster.RunSharded(stream, options).ok());
+  ASSERT_TRUE(cluster.RunSharded(stream).ok());
   EXPECT_EQ(legacy, Fingerprint(cluster));
 }
 
 TEST(ShardedClusterTest, CrashRecoveryOrderIsArrivalThenTicket) {
   // Queued invocations sharing an arrival time must come back from Crash()
   // in acceptance-ticket order — the (arrival, ticket) total order that keeps
-  // failover re-dispatch deterministic under sharded replay.
+  // failover re-dispatch deterministic.
   ClusterConfig config;
   config.nodes = 1;
   Cluster cluster(config);
